@@ -88,8 +88,10 @@ impl GeobacterFluxProblem {
     ) -> Result<Self, pathway_fba::FbaError> {
         let model = geobacter.model().clone();
         let fba = FluxBalanceAnalysis::new(&model);
-        let max_biomass = fba.maximize_reaction(geobacter.biomass_reaction())?;
-        let max_electron = fba.maximize_reaction(geobacter.electron_reaction())?;
+        // Both LPs share their constraints, so one simplex phase 1 serves both.
+        let optima =
+            fba.maximize_reactions(&[geobacter.biomass_reaction(), geobacter.electron_reaction()])?;
+        let (max_biomass, max_electron) = (&optima[0], &optima[1]);
         let reference: Vec<f64> = max_biomass
             .fluxes
             .iter()
@@ -327,5 +329,30 @@ mod tests {
         let model = GeobacterModel::builder().reactions(608).build();
         let problem = GeobacterFluxProblem::new(&model).expect("paper-scale model is feasible");
         assert_eq!(problem.num_variables(), 608);
+    }
+
+    /// Pins the paper-scale reference fluxes bit for bit, and the pivot
+    /// count of each of its two LPs. The search box, and so every Geobacter
+    /// front, derives from these fluxes: a change to the simplex pivot path
+    /// that moves any of their bits fails here.
+    #[test]
+    fn paper_scale_reference_fluxes_are_pinned() {
+        let model = GeobacterModel::builder().reactions(608).build();
+        let problem = GeobacterFluxProblem::new(&model).expect("paper-scale model is feasible");
+        // FNV-1a over the little-endian bytes of each flux's bit pattern.
+        let hash = problem
+            .reference_fluxes()
+            .iter()
+            .flat_map(|flux| flux.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(hash, 0x819a_a069_37bf_0fe2, "reference hash {hash:#018x}");
+
+        let optima = FluxBalanceAnalysis::new(problem.model())
+            .maximize_reactions(&[model.biomass_reaction(), model.electron_reaction()])
+            .expect("paper-scale model is feasible");
+        let pivots: Vec<usize> = optima.iter().map(|optimum| optimum.iterations).collect();
+        assert_eq!(pivots, [2168, 2168]);
     }
 }

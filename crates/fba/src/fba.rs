@@ -1,4 +1,5 @@
-use pathway_linalg::{simplex, LinearProgram, Objective};
+use pathway_linalg::simplex::{self, SimplexOptions};
+use pathway_linalg::{LinearProgram, Objective};
 
 use crate::{FbaError, MetabolicModel};
 
@@ -9,7 +10,8 @@ pub struct FbaSolution {
     pub objective_value: f64,
     /// The full flux vector (one entry per reaction, model order).
     pub fluxes: Vec<f64>,
-    /// Number of simplex pivots used.
+    /// Number of simplex pivots used, counting the phase-1 pivots it shares
+    /// with the other objectives of the same call.
     pub iterations: usize,
 }
 
@@ -51,11 +53,11 @@ impl<'a> FluxBalanceAnalysis<'a> {
         FluxBalanceAnalysis { model }
     }
 
-    fn build_program(&self, objective_reaction: usize, sense: Objective) -> LinearProgram {
+    /// The steady-state LP `S·v = 0` within the flux bounds; the objective
+    /// is supplied per solve.
+    fn build_program(&self) -> LinearProgram {
         let n = self.model.num_reactions();
-        let mut lp = LinearProgram::new(n, sense);
-        lp.set_objective_coefficient(objective_reaction, 1.0)
-            .expect("objective reaction index is validated by the caller");
+        let mut lp = LinearProgram::new(n, Objective::default());
         for (i, bound) in self.model.flux_bounds().into_iter().enumerate() {
             lp.set_bound(i, bound).expect("model bounds are valid");
         }
@@ -70,20 +72,54 @@ impl<'a> FluxBalanceAnalysis<'a> {
         lp
     }
 
-    fn solve(&self, objective_reaction: usize, sense: Objective) -> Result<FbaSolution, FbaError> {
-        if objective_reaction >= self.model.num_reactions() {
-            return Err(FbaError::DimensionMismatch {
-                expected: self.model.num_reactions(),
-                found: objective_reaction,
-            });
+    /// Optimizes each `(reaction, sense)` objective over the same LP, with
+    /// one shared simplex phase 1. Fails with the first error in objective
+    /// order.
+    fn solve_each(&self, objectives: &[(usize, Objective)]) -> Result<Vec<FbaSolution>, FbaError> {
+        let n = self.model.num_reactions();
+        if let Some(&(found, _)) = objectives.iter().find(|&&(reaction, _)| reaction >= n) {
+            return Err(FbaError::DimensionMismatch { expected: n, found });
         }
-        let lp = self.build_program(objective_reaction, sense);
-        let solution = simplex::solve(&lp)?;
-        Ok(FbaSolution {
-            objective_value: solution.objective_value,
-            fluxes: solution.variables,
-            iterations: solution.iterations,
+        let lp_objectives: Vec<(Objective, Vec<f64>)> = objectives
+            .iter()
+            .map(|&(reaction, sense)| {
+                let mut coefficients = vec![0.0; n];
+                coefficients[reaction] = 1.0;
+                (sense, coefficients)
+            })
+            .collect();
+        simplex::solve_each(
+            &self.build_program(),
+            &lp_objectives,
+            &SimplexOptions::default(),
+        )
+        .into_iter()
+        .map(|solution| {
+            let solution = solution?;
+            Ok(FbaSolution {
+                objective_value: solution.objective_value,
+                fluxes: solution.variables,
+                iterations: solution.iterations,
+            })
         })
+        .collect()
+    }
+
+    /// Maximizes the flux through each of `reactions` in turn, solving the
+    /// shared constraints once: the solutions are bit for bit those of one
+    /// [`FluxBalanceAnalysis::maximize_reaction`] call per reaction,
+    /// `iterations` included.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a reaction index is out of range or an LP is
+    /// infeasible/unbounded.
+    pub fn maximize_reactions(&self, reactions: &[usize]) -> Result<Vec<FbaSolution>, FbaError> {
+        let objectives: Vec<(usize, Objective)> = reactions
+            .iter()
+            .map(|&reaction| (reaction, Objective::Maximize))
+            .collect();
+        self.solve_each(&objectives)
     }
 
     /// Maximizes the flux through `objective_reaction`.
@@ -93,7 +129,8 @@ impl<'a> FluxBalanceAnalysis<'a> {
     /// Returns an error if the reaction index is out of range or the LP is
     /// infeasible/unbounded.
     pub fn maximize_reaction(&self, objective_reaction: usize) -> Result<FbaSolution, FbaError> {
-        self.solve(objective_reaction, Objective::Maximize)
+        self.maximize_reactions(&[objective_reaction])
+            .map(single_solution)
     }
 
     /// Minimizes the flux through `objective_reaction`.
@@ -102,20 +139,31 @@ impl<'a> FluxBalanceAnalysis<'a> {
     ///
     /// Same as [`FluxBalanceAnalysis::maximize_reaction`].
     pub fn minimize_reaction(&self, objective_reaction: usize) -> Result<FbaSolution, FbaError> {
-        self.solve(objective_reaction, Objective::Minimize)
+        self.solve_each(&[(objective_reaction, Objective::Minimize)])
+            .map(single_solution)
     }
 
     /// Flux variability analysis of one reaction: its attainable flux range
     /// over the steady-state polytope (without constraining the objective).
+    /// Both ends share one simplex phase 1.
     ///
     /// # Errors
     ///
     /// Same as [`FluxBalanceAnalysis::maximize_reaction`].
     pub fn variability(&self, reaction: usize) -> Result<FluxVariability, FbaError> {
-        let minimum = self.minimize_reaction(reaction)?.objective_value;
-        let maximum = self.maximize_reaction(reaction)?.objective_value;
-        Ok(FluxVariability { minimum, maximum })
+        let range = self.solve_each(&[
+            (reaction, Objective::Minimize),
+            (reaction, Objective::Maximize),
+        ])?;
+        Ok(FluxVariability {
+            minimum: range[0].objective_value,
+            maximum: range[1].objective_value,
+        })
     }
+}
+
+fn single_solution(mut solutions: Vec<FbaSolution>) -> FbaSolution {
+    solutions.pop().expect("one solution per objective")
 }
 
 #[cfg(test)]
@@ -175,12 +223,41 @@ mod tests {
     }
 
     #[test]
+    fn shared_phase_one_matches_separate_solves_bit_for_bit() {
+        let geobacter = crate::geobacter::GeobacterModel::builder()
+            .reactions(96)
+            .build();
+        let fba = FluxBalanceAnalysis::new(geobacter.model());
+        let reactions = [geobacter.biomass_reaction(), geobacter.electron_reaction()];
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let shared = fba.maximize_reactions(&reactions).unwrap();
+        for (&reaction, shared) in reactions.iter().zip(&shared) {
+            let alone = fba.maximize_reaction(reaction).unwrap();
+            assert_eq!(bits(&shared.fluxes), bits(&alone.fluxes));
+            assert_eq!(
+                shared.objective_value.to_bits(),
+                alone.objective_value.to_bits()
+            );
+            assert_eq!(shared.iterations, alone.iterations);
+
+            let range = fba.variability(reaction).unwrap();
+            let minimum = fba.minimize_reaction(reaction).unwrap().objective_value;
+            assert_eq!(range.minimum.to_bits(), minimum.to_bits());
+            assert_eq!(range.maximum.to_bits(), alone.objective_value.to_bits());
+        }
+    }
+
+    #[test]
     fn invalid_reaction_index_is_rejected() {
         let model = toy_model();
         let fba = FluxBalanceAnalysis::new(&model);
         assert!(matches!(
             fba.maximize_reaction(99),
             Err(FbaError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            fba.maximize_reactions(&[0, 99]),
+            Err(FbaError::DimensionMismatch { found: 99, .. })
         ));
     }
 }

@@ -11,8 +11,10 @@
 //!   implicit ODE stepper and for solving small dense systems.
 //! * [`CsrMatrix`] — compressed sparse row matrices for genome-scale
 //!   stoichiometric matrices (hundreds of reactions).
-//! * [`LinearProgram`] / [`simplex::solve`] — a bounded-variable two-phase
-//!   primal simplex solver used by flux balance analysis.
+//! * [`LinearProgram`] / [`simplex::solve`] — a two-phase primal tableau
+//!   simplex solver used by flux balance analysis. Finite upper bounds
+//!   become explicit rows; [`simplex::solve_each`] shares one phase 1
+//!   across several objectives over the same constraints.
 //!
 //! # Example
 //!

@@ -288,7 +288,9 @@ pub struct LpSolution {
     pub objective_value: f64,
     /// Optimal values of the decision variables.
     pub variables: Vec<f64>,
-    /// Number of simplex pivots performed.
+    /// Number of simplex pivots performed. Under
+    /// [`crate::simplex::solve_each`] this counts the shared phase-1 pivots
+    /// in every solution.
     pub iterations: usize,
 }
 

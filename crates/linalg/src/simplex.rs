@@ -1,14 +1,24 @@
-//! A two-phase primal simplex solver for [`LinearProgram`]s with bounded
-//! variables.
+//! A two-phase primal simplex solver for [`LinearProgram`]s.
 //!
 //! The solver densifies the constraint matrix, converts general bounds to
 //! shifted non-negative variables (splitting free variables into a positive
-//! and a negative part), adds slack/surplus/artificial columns, and runs a
-//! textbook two-phase tableau simplex with Dantzig pricing and a Bland
-//! fallback that guarantees termination.
+//! and a negative part), turns every finite upper bound into an explicit
+//! `<=` row, adds slack/surplus/artificial columns, and runs a textbook
+//! two-phase tableau simplex with Dantzig pricing and a Bland fallback that
+//! guarantees termination. A pivot updates only the columns where the pivot
+//! row is nonzero.
 //!
-//! Flux balance analysis in `pathway-fba` calls [`solve`] on models with a few
-//! hundred reactions, which the dense tableau handles comfortably.
+//! Phase 1 depends only on the constraints and bounds, so [`solve_each`]
+//! runs it once and then runs phase 2 once per objective, each on its own
+//! copy of the phase-1 tableau. The `iterations` of every solution count the
+//! shared phase-1 pivots plus that objective's phase-2 pivots, which is what
+//! a solve of that objective alone reports: [`solve`] is [`solve_each`] with
+//! the program's own objective.
+//!
+//! Flux balance analysis in `pathway-fba` solves models with a few hundred
+//! reactions this way, which the dense tableau handles comfortably.
+
+use std::mem;
 
 use crate::lp::{Constraint, Relation};
 use crate::{LinalgError, LinearProgram, LpSolution, LpStatus, Objective};
@@ -48,17 +58,30 @@ enum VarMap {
     Fixed { value: f64 },
 }
 
+#[derive(Clone, Default)]
 struct Tableau {
     /// Constraint rows, canonical with respect to the current basis.
     rows: Vec<Vec<f64>>,
     /// Right-hand side of each row (always kept non-negative at start).
     rhs: Vec<f64>,
-    /// Basic variable (column index) of each row.
+    /// Basic variable (column index) of each row. After phase 1 a redundant
+    /// row may keep an artificial basic variable whose column is gone.
     basis: Vec<usize>,
     /// Total number of columns.
     ncols: usize,
-    /// Columns that are artificial variables (banned in phase 2).
-    artificial: Vec<bool>,
+    /// First artificial column; the artificials are the trailing block.
+    first_artificial: usize,
+}
+
+/// A program after phase 1: the feasible basis every objective starts from.
+struct FeasibleStart {
+    var_map: Vec<VarMap>,
+    /// Number of structural (`y`) columns.
+    num_y: usize,
+    /// Phase-1 tableau without its artificial columns.
+    tableau: Tableau,
+    /// Phase-1 pivots.
+    iterations: usize,
 }
 
 /// Solves a [`LinearProgram`] with default [`SimplexOptions`].
@@ -81,6 +104,59 @@ pub fn solve_with_options(
     lp: &LinearProgram,
     options: &SimplexOptions,
 ) -> crate::Result<LpSolution> {
+    let objective = (lp.objective(), lp.objective_coefficients());
+    solve_each(lp, &[objective], options)
+        .pop()
+        .expect("one result per objective")
+}
+
+/// Solves the constraints and bounds of `lp` once per objective, with one
+/// shared phase 1. Each objective is a direction plus one coefficient per
+/// variable; the program's own objective is ignored.
+///
+/// Result `k` is bit for bit what [`solve_with_options`] returns for `lp`
+/// with objective `k`, `iterations` included. A phase-1 failure
+/// ([`LinalgError::Infeasible`], [`LinalgError::IterationLimit`] or an
+/// invalid tolerance) is reported for every objective, and an objective
+/// with the wrong number of coefficients gets
+/// [`LinalgError::DimensionMismatch`].
+pub fn solve_each<C: AsRef<[f64]>>(
+    lp: &LinearProgram,
+    objectives: &[(Objective, C)],
+    options: &SimplexOptions,
+) -> Vec<crate::Result<LpSolution>> {
+    if objectives.is_empty() {
+        return Vec::new();
+    }
+    let mut start = match feasible_start(lp, options) {
+        Ok(start) => start,
+        Err(err) => return vec![Err(err); objectives.len()],
+    };
+    let last = objectives.len() - 1;
+    objectives
+        .iter()
+        .enumerate()
+        .map(|(k, (sense, coefficients))| {
+            let coefficients = coefficients.as_ref();
+            if coefficients.len() != lp.num_vars() {
+                return Err(LinalgError::DimensionMismatch {
+                    expected: format!("len {}", lp.num_vars()),
+                    found: format!("len {}", coefficients.len()),
+                });
+            }
+            // Every objective but the last pivots on a copy.
+            let tableau = if k == last {
+                mem::take(&mut start.tableau)
+            } else {
+                start.tableau.clone()
+            };
+            start.optimize(tableau, *sense, coefficients, options)
+        })
+        .collect()
+}
+
+/// Maps the variables, builds the tableau and runs phase 1.
+fn feasible_start(lp: &LinearProgram, options: &SimplexOptions) -> crate::Result<FeasibleStart> {
     let tol = options.tolerance;
     if tol <= 0.0 || tol.is_nan() {
         return Err(LinalgError::InvalidArgument(
@@ -155,196 +231,178 @@ pub fn solve_with_options(
         raw_rows.push((row, Relation::LessEq, width));
     }
 
-    // ---- 3. Transform the objective. ----
-    let sense = match lp.objective() {
-        Objective::Minimize => 1.0,
-        Objective::Maximize => -1.0,
-    };
-    let mut cost = vec![0.0; num_y];
-    let mut cost_constant = 0.0;
-    for (var, &c) in lp.objective_coefficients().iter().enumerate() {
-        if c == 0.0 {
-            continue;
-        }
-        let c = c * sense;
-        match var_map[var] {
-            VarMap::Shifted { col, offset } => {
-                cost[col] += c;
-                cost_constant += c * offset;
-            }
-            VarMap::Mirrored { col, offset } => {
-                cost[col] -= c;
-                cost_constant += c * offset;
-            }
-            VarMap::Split { pos, neg } => {
-                cost[pos] += c;
-                cost[neg] -= c;
-            }
-            VarMap::Fixed { value } => {
-                cost_constant += c * value;
-            }
-        }
-    }
-
-    // ---- 4. Build the standard-form tableau with slack/artificial columns. ----
-    let m = raw_rows.len();
-    // Count extra columns: one slack/surplus per inequality, one artificial per
-    // >= or = row (after sign normalization).
-    let mut tableau = build_tableau(&raw_rows, num_y, tol);
-    let ncols = tableau.ncols;
-
-    // ---- 5. Phase 1: minimize the sum of artificial variables. ----
+    // ---- 3. Build the standard-form tableau and run phase 1, which ----
+    // ---- minimizes the sum of the artificial variables.            ----
+    let mut tableau = build_tableau(raw_rows, num_y, tol);
     let mut iterations = 0usize;
-    let any_artificial = tableau.artificial.iter().any(|&a| a);
-    if any_artificial {
-        let phase1_cost: Vec<f64> = (0..ncols)
-            .map(|j| if tableau.artificial[j] { 1.0 } else { 0.0 })
+    if tableau.first_artificial < tableau.ncols {
+        let phase1_cost: Vec<f64> = (0..tableau.ncols)
+            .map(|j| {
+                if j >= tableau.first_artificial {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
             .collect();
-        let no_ban = vec![false; ncols];
-        let phase1_value = run_phase(
-            &mut tableau,
-            &phase1_cost,
-            &no_ban,
-            options,
-            &mut iterations,
-        )?;
+        let phase1_value = run_phase(&mut tableau, &phase1_cost, options, &mut iterations)?;
         if phase1_value > 1e-6 {
             return Err(LinalgError::Infeasible);
         }
         drive_out_artificials(&mut tableau, tol);
-    }
-
-    // ---- 6. Phase 2: minimize the real objective. ----
-    let mut phase2_cost = vec![0.0; ncols];
-    phase2_cost[..num_y].copy_from_slice(&cost[..num_y]);
-    // Artificial columns must never re-enter the basis.
-    for (coefficient, &is_artificial) in phase2_cost.iter_mut().zip(&tableau.artificial) {
-        if is_artificial {
-            *coefficient = 0.0;
+        // Artificial columns must never re-enter the basis, so phase 2 has no
+        // use for them. They are the trailing block: no other column moves.
+        for row in &mut tableau.rows {
+            row.truncate(tableau.first_artificial);
+            row.shrink_to_fit();
         }
+        tableau.ncols = tableau.first_artificial;
     }
-    let banned = tableau.artificial.clone();
-    run_phase(
-        &mut tableau,
-        &phase2_cost,
-        &banned,
-        options,
-        &mut iterations,
-    )?;
-
-    // ---- 7. Read the solution back in the original variable space. ----
-    let mut y = vec![0.0; ncols];
-    for (i, &b) in tableau.basis.iter().enumerate() {
-        y[b] = tableau.rhs[i];
-    }
-    let mut x = vec![0.0; lp.num_vars()];
-    for (var, map) in var_map.iter().enumerate() {
-        x[var] = match *map {
-            VarMap::Shifted { col, offset } => offset + y[col],
-            VarMap::Mirrored { col, offset } => offset - y[col],
-            VarMap::Split { pos, neg } => y[pos] - y[neg],
-            VarMap::Fixed { value } => value,
-        };
-    }
-    let objective_value: f64 = lp
-        .objective_coefficients()
-        .iter()
-        .zip(x.iter())
-        .map(|(c, v)| c * v)
-        .sum();
-    let _ = cost_constant; // objective recomputed directly from x
-    let _ = m;
-
-    Ok(LpSolution {
-        status: LpStatus::Optimal,
-        objective_value,
-        variables: x,
+    Ok(FeasibleStart {
+        var_map,
+        num_y,
+        tableau,
         iterations,
     })
 }
 
-fn build_tableau(raw_rows: &[(Vec<f64>, Relation, f64)], num_y: usize, tol: f64) -> Tableau {
-    let m = raw_rows.len();
-    // First pass: figure out how many slack and artificial columns are needed.
-    let mut num_slack = 0usize;
-    let mut num_art = 0usize;
-    let mut normalized: Vec<(Vec<f64>, Relation, f64)> = Vec::with_capacity(m);
-    for (row, rel, b) in raw_rows {
-        let (row, rel, b) = if *b < 0.0 {
-            let flipped: Vec<f64> = row.iter().map(|v| -v).collect();
-            let rel = match rel {
-                Relation::LessEq => Relation::GreaterEq,
-                Relation::GreaterEq => Relation::LessEq,
-                Relation::Equal => Relation::Equal,
-            };
-            (flipped, rel, -b)
-        } else {
-            (row.clone(), *rel, *b)
+impl FeasibleStart {
+    /// Runs phase 2 for one objective on `tableau`, this start's tableau or
+    /// a copy of it, and reads the solution back.
+    fn optimize(
+        &self,
+        mut tableau: Tableau,
+        sense: Objective,
+        coefficients: &[f64],
+        options: &SimplexOptions,
+    ) -> crate::Result<LpSolution> {
+        let sense = match sense {
+            Objective::Minimize => 1.0,
+            Objective::Maximize => -1.0,
         };
-        match rel {
-            Relation::LessEq => num_slack += 1,
-            Relation::GreaterEq => {
-                num_slack += 1;
-                num_art += 1;
+        let mut cost = vec![0.0; tableau.ncols];
+        for (var, &c) in coefficients.iter().enumerate() {
+            if c == 0.0 {
+                continue;
             }
-            Relation::Equal => num_art += 1,
-        }
-        normalized.push((row, rel, b));
-    }
-
-    let ncols = num_y + num_slack + num_art;
-    let mut rows = vec![vec![0.0; ncols]; m];
-    let mut rhs = vec![0.0; m];
-    let mut basis = vec![0usize; m];
-    let mut artificial = vec![false; ncols];
-
-    let mut slack_cursor = num_y;
-    let mut art_cursor = num_y + num_slack;
-    for (i, (row, rel, b)) in normalized.into_iter().enumerate() {
-        rows[i][..num_y].copy_from_slice(&row[..num_y]);
-        rhs[i] = b;
-        match rel {
-            Relation::LessEq => {
-                rows[i][slack_cursor] = 1.0;
-                basis[i] = slack_cursor;
-                slack_cursor += 1;
-            }
-            Relation::GreaterEq => {
-                rows[i][slack_cursor] = -1.0;
-                slack_cursor += 1;
-                rows[i][art_cursor] = 1.0;
-                artificial[art_cursor] = true;
-                basis[i] = art_cursor;
-                art_cursor += 1;
-            }
-            Relation::Equal => {
-                rows[i][art_cursor] = 1.0;
-                artificial[art_cursor] = true;
-                basis[i] = art_cursor;
-                art_cursor += 1;
+            let c = c * sense;
+            match self.var_map[var] {
+                VarMap::Shifted { col, .. } => cost[col] += c,
+                VarMap::Mirrored { col, .. } => cost[col] -= c,
+                VarMap::Split { pos, neg } => {
+                    cost[pos] += c;
+                    cost[neg] -= c;
+                }
+                VarMap::Fixed { .. } => {}
             }
         }
-        // Guard against rows that are numerically zero but have tiny rhs noise.
-        if rhs[i] < tol {
-            rhs[i] = rhs[i].max(0.0);
-        }
-    }
+        let mut iterations = self.iterations;
+        run_phase(&mut tableau, &cost, options, &mut iterations)?;
 
-    Tableau {
-        rows,
-        rhs,
-        basis,
-        ncols,
-        artificial,
+        let mut y = vec![0.0; self.num_y];
+        for (&b, &value) in tableau.basis.iter().zip(&tableau.rhs) {
+            if b < self.num_y {
+                y[b] = value;
+            }
+        }
+        let variables: Vec<f64> = self
+            .var_map
+            .iter()
+            .map(|map| match *map {
+                VarMap::Shifted { col, offset } => offset + y[col],
+                VarMap::Mirrored { col, offset } => offset - y[col],
+                VarMap::Split { pos, neg } => y[pos] - y[neg],
+                VarMap::Fixed { value } => value,
+            })
+            .collect();
+        let objective_value: f64 = coefficients
+            .iter()
+            .zip(variables.iter())
+            .map(|(c, v)| c * v)
+            .sum();
+        Ok(LpSolution {
+            status: LpStatus::Optimal,
+            objective_value,
+            variables,
+            iterations,
+        })
     }
 }
 
+/// Turns the rows over the `y` variables into the phase-1 tableau, in place:
+/// each row gains its slack/surplus and artificial columns. A row with a
+/// negative rhs is negated first, which swaps `<=` and `>=`.
+fn build_tableau(raw_rows: Vec<(Vec<f64>, Relation, f64)>, num_y: usize, tol: f64) -> Tableau {
+    let normalized = |rel: Relation, b: f64| match rel {
+        Relation::LessEq if b < 0.0 => Relation::GreaterEq,
+        Relation::GreaterEq if b < 0.0 => Relation::LessEq,
+        rel => rel,
+    };
+    let num_slack = raw_rows
+        .iter()
+        .filter(|(_, rel, _)| *rel != Relation::Equal)
+        .count();
+    let num_art = raw_rows
+        .iter()
+        .filter(|&&(_, rel, b)| normalized(rel, b) != Relation::LessEq)
+        .count();
+    let first_artificial = num_y + num_slack;
+    let ncols = first_artificial + num_art;
+
+    let m = raw_rows.len();
+    let mut tableau = Tableau {
+        rows: Vec::with_capacity(m),
+        rhs: Vec::with_capacity(m),
+        basis: Vec::with_capacity(m),
+        ncols,
+        first_artificial,
+    };
+    let mut slack_cursor = num_y;
+    let mut art_cursor = first_artificial;
+    for (mut row, rel, b) in raw_rows {
+        let rel = normalized(rel, b);
+        let b = if b < 0.0 {
+            for value in &mut row {
+                *value = -*value;
+            }
+            -b
+        } else {
+            b
+        };
+        row.resize(ncols, 0.0);
+        let basic = match rel {
+            Relation::LessEq => {
+                row[slack_cursor] = 1.0;
+                slack_cursor += 1;
+                slack_cursor - 1
+            }
+            Relation::GreaterEq => {
+                row[slack_cursor] = -1.0;
+                slack_cursor += 1;
+                row[art_cursor] = 1.0;
+                art_cursor += 1;
+                art_cursor - 1
+            }
+            Relation::Equal => {
+                row[art_cursor] = 1.0;
+                art_cursor += 1;
+                art_cursor - 1
+            }
+        };
+        tableau.rows.push(row);
+        tableau.basis.push(basic);
+        // Guard against rows that are numerically zero but have tiny rhs noise.
+        tableau.rhs.push(if b < tol { b.max(0.0) } else { b });
+    }
+    tableau
+}
+
 /// Runs simplex iterations minimizing `cost` over the current tableau, and
-/// returns the achieved objective value (in the minimized sense).
+/// returns the achieved objective value (in the minimized sense). A basic
+/// variable without a cost entry (a leftover artificial) costs 0.
 fn run_phase(
     tableau: &mut Tableau,
     cost: &[f64],
-    banned: &[bool],
     options: &SimplexOptions,
     iterations: &mut usize,
 ) -> crate::Result<f64> {
@@ -355,7 +413,7 @@ fn run_phase(
     let mut reduced = cost.to_vec();
     let mut objective = 0.0;
     for i in 0..m {
-        let cb = cost[tableau.basis[i]];
+        let cb = cost.get(tableau.basis[i]).copied().unwrap_or(0.0);
         if cb != 0.0 {
             for (r, &t_ij) in reduced.iter_mut().zip(&tableau.rows[i]) {
                 *r -= cb * t_ij;
@@ -372,24 +430,19 @@ fn run_phase(
             });
         }
         // --- entering variable ---
-        let use_bland = local_iter > options.bland_threshold;
-        let mut entering: Option<usize> = None;
-        if use_bland {
-            for (j, &rc) in reduced.iter().enumerate() {
-                if !banned[j] && rc < -tol {
-                    entering = Some(j);
-                    break;
-                }
-            }
+        let entering = if local_iter > options.bland_threshold {
+            reduced.iter().position(|&rc| rc < -tol)
         } else {
+            let mut entering = None;
             let mut best = -tol;
             for (j, &rc) in reduced.iter().enumerate() {
-                if !banned[j] && rc < best {
+                if rc < best {
                     best = rc;
                     entering = Some(j);
                 }
             }
-        }
+            entering
+        };
         let Some(enter) = entering else {
             return Ok(objective);
         };
@@ -416,54 +469,58 @@ fn run_phase(
             return Err(LinalgError::Unbounded);
         };
 
-        // --- pivot ---
-        pivot(tableau, &mut reduced, &mut objective, leave, enter);
+        // --- pivot, then eliminate the entering column from the reduced costs ---
+        pivot(tableau, leave, enter);
+        let factor = reduced[enter];
+        if factor != 0.0 {
+            for (r, &t_pj) in reduced.iter_mut().zip(&tableau.rows[leave]) {
+                *r -= factor * t_pj;
+            }
+            // The phase objective changes by (reduced cost of the entering
+            // column) times the step length, which is the normalized
+            // pivot-row rhs.
+            objective += factor * tableau.rhs[leave];
+        }
         *iterations += 1;
         local_iter += 1;
     }
 }
 
-fn pivot(
-    tableau: &mut Tableau,
-    reduced: &mut [f64],
-    objective: &mut f64,
-    pivot_row: usize,
-    pivot_col: usize,
-) {
-    let ncols = tableau.ncols;
-    let pivot_val = tableau.rows[pivot_row][pivot_col];
-    // Normalize the pivot row.
-    for j in 0..ncols {
-        tableau.rows[pivot_row][j] /= pivot_val;
+/// Scales the pivot row to a unit pivot and eliminates the pivot column from
+/// every other row. Only the columns where the scaled pivot row is nonzero
+/// are updated: elsewhere `x - f·0` is `x`, up to the sign of a zero, which
+/// nothing reads.
+fn pivot(tableau: &mut Tableau, pivot_row: usize, pivot_col: usize) {
+    let mut row = mem::take(&mut tableau.rows[pivot_row]);
+    let pivot_val = row[pivot_col];
+    for value in &mut row {
+        *value /= pivot_val;
     }
     tableau.rhs[pivot_row] /= pivot_val;
+    let pivot_rhs = tableau.rhs[pivot_row];
+    let nonzeros: Vec<(usize, f64)> = row
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, value)| value != 0.0)
+        .collect();
 
-    // Eliminate the pivot column from every other row.
-    for i in 0..tableau.rows.len() {
+    for (i, (target, rhs)) in tableau.rows.iter_mut().zip(&mut tableau.rhs).enumerate() {
         if i == pivot_row {
             continue;
         }
-        let factor = tableau.rows[i][pivot_col];
+        let factor = target[pivot_col];
         if factor != 0.0 {
-            for j in 0..ncols {
-                tableau.rows[i][j] -= factor * tableau.rows[pivot_row][j];
+            for &(j, value) in &nonzeros {
+                target[j] -= factor * value;
             }
-            tableau.rhs[i] -= factor * tableau.rhs[pivot_row];
-            if tableau.rhs[i].abs() < 1e-12 {
-                tableau.rhs[i] = 0.0;
+            *rhs -= factor * pivot_rhs;
+            if rhs.abs() < 1e-12 {
+                *rhs = 0.0;
             }
         }
     }
-    // ... and from the reduced-cost row.
-    let factor = reduced[pivot_col];
-    if factor != 0.0 {
-        for (r, &t_pj) in reduced.iter_mut().zip(&tableau.rows[pivot_row]) {
-            *r -= factor * t_pj;
-        }
-        // The phase objective changes by (reduced cost of the entering column)
-        // times the step length, which is the normalized pivot-row rhs.
-        *objective += factor * tableau.rhs[pivot_row];
-    }
+    tableau.rows[pivot_row] = row;
     tableau.basis[pivot_row] = pivot_col;
 }
 
@@ -471,24 +528,17 @@ fn pivot(
 /// zero) out of the basis if possible. Rows where that is impossible are
 /// redundant and are left in place with the artificial pinned at zero.
 fn drive_out_artificials(tableau: &mut Tableau, tol: f64) {
-    let m = tableau.rows.len();
-    for i in 0..m {
-        let b = tableau.basis[i];
-        if !tableau.artificial[b] {
+    let first_artificial = tableau.first_artificial;
+    for i in 0..tableau.rows.len() {
+        if tableau.basis[i] < first_artificial {
             continue;
         }
         // Find a non-artificial column with a nonzero coefficient in this row.
-        let mut target = None;
-        for j in 0..tableau.ncols {
-            if !tableau.artificial[j] && tableau.rows[i][j].abs() > tol {
-                target = Some(j);
-                break;
-            }
-        }
-        if let Some(j) = target {
-            let mut dummy_reduced = vec![0.0; tableau.ncols];
-            let mut dummy_obj = 0.0;
-            pivot(tableau, &mut dummy_reduced, &mut dummy_obj, i, j);
+        if let Some(j) = tableau.rows[i][..first_artificial]
+            .iter()
+            .position(|v| v.abs() > tol)
+        {
+            pivot(tableau, i, j);
         }
     }
 }

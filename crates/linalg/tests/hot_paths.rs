@@ -1,10 +1,11 @@
 //! Black-box tests for the `pathway-linalg` hot paths: the simplex LP solver
-//! against small programs with known optima, the LU round-trip
+//! against small programs with known optima and, for several objectives over
+//! one program, against standalone solves; the LU round-trip
 //! `P·A = L·U`, and dense/sparse mat-vec agreement.
 
 use pathway_linalg::{
     simplex, Bound, CsrMatrix, LinalgError, LinearProgram, LpStatus, LuDecomposition, Matrix,
-    Objective, Vector,
+    Objective, Relation, Vector,
 };
 use proptest::prelude::*;
 
@@ -119,6 +120,171 @@ fn simplex_respects_fixed_variables() {
     let solution = simplex::solve(&lp).expect("program is feasible and bounded");
     assert!((solution.objective_value - 5.0).abs() < 1e-9);
     assert!((solution.variables[1] - 2.0).abs() < 1e-12);
+}
+
+// ------------------------------------------------- shared phase 1 parity --
+
+/// `lp` with its objective replaced by `sense` and `coefficients`.
+fn with_objective(lp: &LinearProgram, sense: Objective, coefficients: &[f64]) -> LinearProgram {
+    let mut single = LinearProgram::new(lp.num_vars(), sense);
+    for (var, &bound) in lp.bounds().iter().enumerate() {
+        single.set_bound(var, bound).unwrap();
+    }
+    for constraint in lp.constraints() {
+        single
+            .add_constraint(
+                &constraint.coefficients,
+                constraint.relation,
+                constraint.rhs,
+            )
+            .unwrap();
+    }
+    for (var, &c) in coefficients.iter().enumerate() {
+        single.set_objective_coefficient(var, c).unwrap();
+    }
+    single
+}
+
+/// Asserts that [`simplex::solve_each`] gives, for every objective, exactly
+/// what a standalone [`simplex::solve`] of that objective gives.
+fn assert_solve_each_matches_solve(lp: &LinearProgram, objectives: &[(Objective, Vec<f64>)]) {
+    let shared = simplex::solve_each(lp, objectives, &simplex::SimplexOptions::default());
+    assert_eq!(shared.len(), objectives.len());
+    for ((sense, coefficients), shared) in objectives.iter().zip(shared) {
+        let alone = simplex::solve(&with_objective(lp, *sense, coefficients));
+        match (shared, alone) {
+            (Ok(shared), Ok(alone)) => {
+                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&shared.variables), bits(&alone.variables));
+                assert_eq!(
+                    shared.objective_value.to_bits(),
+                    alone.objective_value.to_bits()
+                );
+                assert_eq!(shared.iterations, alone.iterations);
+                assert_eq!(shared.status, alone.status);
+            }
+            (shared, alone) => assert_eq!(shared.err(), alone.err()),
+        }
+    }
+}
+
+/// A small LP that is feasible by construction: every row holds at a point
+/// `x0` inside the bounds. Variables cycle through every bound kind (shifted
+/// with and without an upper bound, mirrored, free, fixed) and rows through
+/// `<=`, `>=` and `=`; every other row is negated, so negative right-hand
+/// sides occur.
+fn feasible_lp(n: usize, m: usize, seed: u64) -> LinearProgram {
+    let mut rng = pseudo_stream(seed, "lp");
+    let mut small_int = |scale: f64| (next_signed(&mut rng) * scale).round();
+    let mut lp = LinearProgram::new(n, Objective::Minimize);
+    let mut x0 = Vec::with_capacity(n);
+    for var in 0..n {
+        let value = small_int(3.0);
+        let bound = match var % 5 {
+            0 => Bound::interval(
+                value - small_int(2.0).abs(),
+                value + small_int(2.0).abs() + 1.0,
+            ),
+            1 => Bound::interval(value - small_int(2.0).abs(), f64::INFINITY),
+            2 => Bound {
+                lower: f64::NEG_INFINITY,
+                upper: value + small_int(2.0).abs(),
+            },
+            3 => Bound::free(),
+            _ => Bound::fixed(value),
+        };
+        lp.set_bound(var, bound).unwrap();
+        x0.push(value);
+    }
+    for row in 0..m {
+        let coefficients: Vec<(usize, f64)> = (0..n)
+            .map(|var| (var, small_int(3.0)))
+            .filter(|&(_, c)| c != 0.0)
+            .collect();
+        let activity: f64 = coefficients.iter().map(|&(var, c)| c * x0[var]).sum();
+        let slack = small_int(2.0).abs();
+        let (relation, rhs) = match row % 3 {
+            0 => (Relation::LessEq, activity + slack),
+            1 => (Relation::GreaterEq, activity - slack),
+            _ => (Relation::Equal, activity),
+        };
+        if row % 2 == 1 {
+            let negated: Vec<(usize, f64)> =
+                coefficients.iter().map(|&(var, c)| (var, -c)).collect();
+            let flipped = match relation {
+                Relation::LessEq => Relation::GreaterEq,
+                Relation::GreaterEq => Relation::LessEq,
+                Relation::Equal => Relation::Equal,
+            };
+            lp.add_constraint(&negated, flipped, -rhs).unwrap();
+        } else {
+            lp.add_constraint(&coefficients, relation, rhs).unwrap();
+        }
+    }
+    lp
+}
+
+fn random_objectives(n: usize, count: usize, seed: u64) -> Vec<(Objective, Vec<f64>)> {
+    let mut rng = pseudo_stream(seed, "objectives");
+    (0..count)
+        .map(|k| {
+            let sense = if k % 2 == 0 {
+                Objective::Minimize
+            } else {
+                Objective::Maximize
+            };
+            let coefficients = (0..n)
+                .map(|_| (next_signed(&mut rng) * 2.0).round())
+                .collect();
+            (sense, coefficients)
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn prop_solve_each_matches_standalone_solves(
+        n in 1usize..9,
+        m in 0usize..7,
+        count in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let lp = feasible_lp(n, m, seed);
+        assert_solve_each_matches_solve(&lp, &random_objectives(n, count, seed));
+    }
+}
+
+#[test]
+fn solve_each_reports_infeasible_for_every_objective() {
+    let mut lp = LinearProgram::new(2, Objective::Minimize);
+    lp.add_less_eq(&[(0, 1.0), (1, 1.0)], 1.0).unwrap();
+    lp.add_greater_eq(&[(0, 1.0)], 2.0).unwrap();
+    let objectives = [
+        (Objective::Maximize, vec![1.0, 0.0]),
+        (Objective::Minimize, vec![0.0, 1.0]),
+    ];
+    assert_solve_each_matches_solve(&lp, &objectives);
+    for result in simplex::solve_each(&lp, &objectives, &simplex::SimplexOptions::default()) {
+        assert_eq!(result, Err(LinalgError::Infeasible));
+    }
+}
+
+#[test]
+fn solve_each_reports_unbounded_only_for_the_unbounded_objective() {
+    // x >= 1 (a phase-1 row), y in [0, 2]: max y is 2, max x is unbounded.
+    let mut lp = LinearProgram::new(2, Objective::Minimize);
+    lp.add_greater_eq(&[(0, 1.0)], 1.0).unwrap();
+    lp.set_bound(1, Bound::interval(0.0, 2.0)).unwrap();
+    let objectives = [
+        (Objective::Maximize, vec![0.0, 1.0]),
+        (Objective::Maximize, vec![1.0, 0.0]),
+        (Objective::Minimize, vec![1.0, 1.0]),
+    ];
+    assert_solve_each_matches_solve(&lp, &objectives);
+    let results = simplex::solve_each(&lp, &objectives, &simplex::SimplexOptions::default());
+    assert_eq!(results[0].as_ref().unwrap().objective_value, 2.0);
+    assert_eq!(results[1], Err(LinalgError::Unbounded));
+    assert_eq!(results[2].as_ref().unwrap().objective_value, 1.0);
 }
 
 // --------------------------------------------------------------------- LU --
