@@ -2,6 +2,7 @@
 //! coarse-grained parallelism ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pathway_bench::{pmo2_spec, run_search};
 use pathway_core::prelude::*;
 
 fn bench_archipelago_scaling(c: &mut Criterion) {
@@ -13,20 +14,11 @@ fn bench_archipelago_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(islands),
             &islands,
             |b, &islands| {
-                b.iter(|| {
-                    let config = ArchipelagoConfig {
-                        islands,
-                        island_config: Nsga2Config {
-                            population_size: 24,
-                            generations: 20,
-                            ..Default::default()
-                        },
-                        migration_interval: 10,
-                        migration_probability: 0.5,
-                        topology: MigrationTopology::Broadcast,
-                    };
-                    Archipelago::new(config, 3).run(&problem).len()
-                });
+                let mut spec = pmo2_spec(24, 20, 10, 3);
+                if let OptimizerSpec::Archipelago(archipelago) = &mut spec.optimizer {
+                    archipelago.islands = islands;
+                }
+                b.iter(|| run_search(&spec, &problem).0.len());
             },
         );
     }

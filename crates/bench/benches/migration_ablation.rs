@@ -2,22 +2,16 @@
 //! migration, ring migration and no migration at all, at a fixed budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pathway_bench::{pmo2_spec, run_search};
 use pathway_core::prelude::*;
 use pathway_moo::metrics::hypervolume;
 
 fn run_with_topology(topology: MigrationTopology, problem: &LeafRedesignProblem) -> f64 {
-    let config = ArchipelagoConfig {
-        islands: 2,
-        island_config: Nsga2Config {
-            population_size: 24,
-            generations: 30,
-            ..Default::default()
-        },
-        migration_interval: 10,
-        migration_probability: 0.5,
-        topology,
-    };
-    let front = Archipelago::new(config, 5).run(problem);
+    let mut spec = pmo2_spec(24, 30, 10, 5);
+    if let OptimizerSpec::Archipelago(archipelago) = &mut spec.optimizer {
+        archipelago.topology = topology;
+    }
+    let (front, _) = run_search(&spec, problem);
     let matrix: Vec<Vec<f64>> = front.iter().map(|i| i.objectives.clone()).collect();
     let normalized: Vec<Vec<f64>> = matrix
         .iter()

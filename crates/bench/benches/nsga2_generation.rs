@@ -17,7 +17,6 @@ fn bench_nsga2_generation(c: &mut Criterion) {
                     let mut solver = Nsga2::new(
                         Nsga2Config {
                             population_size: population,
-                            generations: 0,
                             ..Default::default()
                         },
                         7,

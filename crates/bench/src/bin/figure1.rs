@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p pathway-bench --bin figure1`
 
-use pathway_bench::scaled;
+use pathway_bench::{leaf_search, pmo2_spec, scaled};
 use pathway_core::prelude::*;
 
 fn main() {
@@ -18,10 +18,13 @@ fn main() {
     let generations = scaled(200, 2000);
 
     for (index, scenario) in Scenario::all().into_iter().enumerate() {
-        let outcome = LeafDesignStudy::new(scenario)
-            .with_budget(population, generations)
-            .with_migration(scaled(100, 200), 0.5)
-            .run(1000 + index as u64);
+        let spec = pmo2_spec(
+            population,
+            generations,
+            scaled(100, 200),
+            1000 + index as u64,
+        );
+        let outcome = leaf_search(scenario, &spec);
         let mut designs = outcome.front.clone();
         designs.sort_by(|a, b| a.uptake.partial_cmp(&b.uptake).expect("uptake is finite"));
 

@@ -4,15 +4,13 @@
 //!
 //! Run with: `cargo run --release -p pathway-bench --bin figure2`
 
-use pathway_bench::scaled;
+use pathway_bench::{leaf_search, pmo2_spec, scaled};
 use pathway_core::prelude::*;
 
 fn main() {
     let scenario = Scenario::present_low_export();
-    let outcome = LeafDesignStudy::new(scenario)
-        .with_budget(scaled(80, 200), scaled(300, 2000))
-        .with_migration(scaled(100, 200), 0.5)
-        .run(2024);
+    let spec = pmo2_spec(scaled(80, 200), scaled(300, 2000), scaled(100, 200), 2024);
+    let outcome = leaf_search(scenario, &spec);
 
     let candidate_b = outcome
         .candidate_b(1.0)

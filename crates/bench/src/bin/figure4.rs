@@ -7,16 +7,22 @@
 //! The default budget uses the full 608-reaction synthetic model; set
 //! `PATHWAY_BENCH_SCALE` to raise the optimization budget.
 
-use pathway_bench::scaled;
+use pathway_bench::{pmo2_spec, run_search, scaled};
 use pathway_core::prelude::*;
 
 fn main() {
     let reactions = 608;
-    let outcome = GeobacterStudy::new()
-        .with_reactions(reactions)
-        .with_budget(scaled(60, 200), scaled(120, 1000))
-        .run(4)
-        .expect("the Geobacter study must run");
+    let seed = 4;
+    let model = GeobacterModel::builder()
+        .reactions(reactions)
+        .seed(seed ^ 0x6E0B)
+        .build();
+    let problem = GeobacterFluxProblem::new(&model).expect("the FBA reference is feasible");
+    let generations = scaled(120, 1000);
+    let spec = pmo2_spec(scaled(60, 200), generations, (generations / 2).max(1), seed);
+    let (front, _) = run_search(&spec, &problem);
+    let outcome = GeobacterOutcome::from_front(&problem, &front, seed)
+        .expect("the steady-state violation is defined");
 
     println!("# Figure 4 — Geobacter sulfurreducens: biomass vs electron production");
     println!(

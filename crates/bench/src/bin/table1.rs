@@ -5,9 +5,10 @@
 //!
 //! Run with: `cargo run --release -p pathway-bench --bin table1`
 
-use pathway_bench::scaled;
+use pathway_bench::{pmo2_spec, run_search, scaled};
 use pathway_core::prelude::*;
 use pathway_core::{render_table, CoverageRow};
+use pathway_moo::engine::MoeadSpec;
 use pathway_moo::metrics::{global_coverage, hypervolume, relative_coverage, union_front};
 
 fn objective_matrix(front: &[Individual]) -> Vec<Vec<f64>> {
@@ -19,30 +20,16 @@ fn main() {
     let population = scaled(80, 200);
     let generations = scaled(250, 2000);
 
-    let pmo2_front = Archipelago::new(
-        ArchipelagoConfig {
-            islands: 2,
-            island_config: Nsga2Config {
-                population_size: population,
-                generations,
-                ..Default::default()
-            },
-            migration_interval: scaled(100, 200),
-            migration_probability: 0.5,
-            topology: MigrationTopology::Broadcast,
-        },
-        11,
-    )
-    .run(&problem);
-    let moead_front = Moead::new(
-        MoeadConfig {
-            population_size: population,
-            generations,
+    let pmo2_run = pmo2_spec(population, generations, scaled(100, 200), 11);
+    let moead_run = RunSpec {
+        optimizer: OptimizerSpec::Moead(MoeadSpec {
+            population,
             ..Default::default()
-        },
-        11,
-    )
-    .run(&problem);
+        }),
+        ..pmo2_run.clone()
+    };
+    let (pmo2_front, _) = run_search(&pmo2_run, &problem);
+    let (moead_front, _) = run_search(&moead_run, &problem);
 
     let pmo2 = objective_matrix(&pmo2_front);
     let moead = objective_matrix(&moead_front);

@@ -4,17 +4,14 @@
 //!
 //! Run with: `cargo run --release -p pathway-bench --bin table2`
 
-use pathway_bench::scaled;
+use pathway_bench::{leaf_search, pmo2_spec, scaled};
 use pathway_core::prelude::*;
 use pathway_core::{render_table, SelectionRow};
 
 fn main() {
-    let study = LeafDesignStudy::new(Scenario::present_high_export())
-        .with_budget(scaled(80, 200), scaled(250, 2000))
-        .with_migration(scaled(100, 200), 0.5)
-        .with_robustness_trials(scaled(2_000, 5_000));
-    let outcome = study.run(22);
-    let selected = outcome.selected_designs(study.robustness_trials(), 50);
+    let spec = pmo2_spec(scaled(80, 200), scaled(250, 2000), scaled(100, 200), 22);
+    let outcome = leaf_search(Scenario::present_high_export(), &spec);
+    let selected = outcome.selected_designs(scaled(2_000, 5_000), 50);
 
     let rows = [
         ("Closest-to-ideal", &selected.closest_to_ideal),

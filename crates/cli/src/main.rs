@@ -56,8 +56,7 @@ use pathway_core::sweep::{
     run_sweep_with_metrics, validate_bench_json, write_front_file, SweepEvent, SweepReport,
 };
 use pathway_core::{
-    resume_spec_driver_with_executor, spec_driver_with_executor, validate_spec_against_problem,
-    AnyProblem, PROBLEM_CATALOG,
+    resume_spec_driver, spec_driver, validate_spec_against_problem, AnyProblem, PROBLEM_CATALOG,
 };
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::{
@@ -399,7 +398,7 @@ fn command_run(args: &[OsString]) -> Result<(), CliError> {
     if let Some(sink) = &profile {
         executor.set_metrics(sink.registry.clone());
     }
-    let mut driver = spec_driver_with_executor(&exec_spec, &problem, Arc::clone(&executor));
+    let mut driver = spec_driver(&exec_spec, &problem, Arc::clone(&executor));
     if let Some(sink) = &profile {
         driver = driver.with_metrics(sink.registry.clone());
     }
@@ -458,7 +457,7 @@ fn command_resume(args: &[OsString]) -> Result<(), CliError> {
     if let Some(sink) = &profile {
         executor.set_metrics(sink.registry.clone());
     }
-    let mut driver = resume_spec_driver_with_executor(
+    let mut driver = resume_spec_driver(
         &exec_spec,
         &problem,
         stored.checkpoint,

@@ -8,11 +8,9 @@
 //! ```
 
 pub use crate::{
-    resume_spec_driver, resume_spec_driver_with_executor, spec_driver, spec_driver_with_executor,
-    validate_spec_against_problem, AnyProblem, GeobacterFluxProblem, GeobacterOutcome,
-    GeobacterSolution, GeobacterStudy, LeafDesign, LeafDesignOutcome, LeafDesignStudy,
-    LeafRedesignProblem, OdeLeafRedesignProblem, ProblemInfo, SelectedLeafDesigns, Study,
-    StudyOutcome, PROBLEM_CATALOG,
+    resume_spec_driver, spec_driver, validate_spec_against_problem, AnyProblem,
+    GeobacterFluxProblem, GeobacterOutcome, GeobacterSolution, LeafDesign, LeafDesignOutcome,
+    LeafRedesignProblem, OdeLeafRedesignProblem, ProblemInfo, SelectedLeafDesigns, PROBLEM_CATALOG,
 };
 
 pub use pathway_fba::geobacter::GeobacterModel;

@@ -3,8 +3,8 @@
 //! A [`pathway_moo::engine::RunSpec`] describes its problem as plain data (a
 //! name plus string parameters); this module resolves that description into
 //! an [`AnyProblem`] — one concrete type covering every problem the
-//! workspace ships, so spec-driven code (the `pathway` CLI, the
-//! [`crate::Study`] factory) never needs to be generic over the problem.
+//! workspace ships, so spec-driven code (the `pathway` CLI, sweeps and the
+//! `pathway serve` daemon) never needs to be generic over the problem.
 //!
 //! [`PROBLEM_CATALOG`] is the authoritative list of registry names and their
 //! parameters; `pathway list-problems` prints it.
@@ -14,6 +14,7 @@
 //! ```
 //! use pathway_core::{spec_driver, AnyProblem};
 //! use pathway_moo::engine::{ProblemSpec, RunSpec};
+//! use pathway_moo::Executor;
 //!
 //! let spec = RunSpec {
 //!     problem: ProblemSpec::named("schaffer"),
@@ -21,7 +22,8 @@
 //!     ..Default::default()
 //! };
 //! let problem = AnyProblem::from_spec(&spec.problem).unwrap();
-//! let front = spec_driver(&spec, &problem).run();
+//! let executor = Executor::shared(spec.optimizer.backend());
+//! let front = spec_driver(&spec, &problem, executor).run();
 //! assert!(!front.is_empty());
 //! ```
 
@@ -321,72 +323,75 @@ pub fn validate_spec_against_problem(
     Ok(())
 }
 
-/// Builds a ready-to-run [`Driver`] for a spec: fresh optimizer, the spec's
-/// stopping rule and reference point, and a [`LogObserver`] when the spec
-/// asks for one. Attach further observers on the returned driver.
+/// Builds a ready-to-run [`Driver`] for a spec: a fresh optimizer running
+/// on `executor`, the spec's stopping rule and reference point, and a
+/// [`LogObserver`] when the spec asks for one. Attach further observers on
+/// the returned driver.
+///
+/// The driver takes `problem` by value. Pass `&problem` to keep ownership
+/// at the call site, or move the problem in to get a self-contained job
+/// with no borrow tying it to the caller's stack frame (`pathway serve`
+/// parks such drivers in its job table). The spec's `[problem]` section is
+/// not consulted: resolve it with [`AnyProblem::from_spec`], or pass a
+/// concrete problem directly.
+///
+/// One `executor` can serve every driver of an invocation — fresh runs and
+/// resumes alike — so a whole sweep or daemon runs on one worker pool.
+/// Executors never change results, only where batches are evaluated;
+/// `Executor::shared(spec.optimizer.backend())` honours the spec's
+/// backend.
 ///
 /// Call [`validate_spec_against_problem`] first when the spec comes from
 /// untrusted input — a reference point of the wrong dimension panics once
 /// telemetry computes a hypervolume.
-pub fn spec_driver<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-) -> Driver<&'p AnyProblem, AnyOptimizer> {
-    assemble_driver(spec, problem, spec.build_optimizer())
-}
-
-/// Like [`spec_driver`], with an explicit evaluation [`Executor`] installed
-/// on the optimizer before the driver takes it over.
 ///
-/// This is how a launcher runs a whole invocation on **one** persistent
-/// worker pool: build the executor once (the `pathway` CLI derives it from
-/// `--threads`, falling back to the spec's backend) and hand it to every
-/// driver it creates — fresh runs and resumes alike. Executors never change
-/// results, only where batches are evaluated.
-pub fn spec_driver_with_executor<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-    executor: Arc<Executor>,
-) -> Driver<&'p AnyProblem, AnyOptimizer> {
-    let mut optimizer = spec.build_optimizer();
-    optimizer.set_executor(executor);
-    assemble_driver(spec, problem, optimizer)
-}
-
-/// Like [`spec_driver_with_executor`], but the driver takes *ownership* of
-/// the problem, so the returned value is a fully self-contained job: no
-/// borrow ties it to the caller's stack frame. This is the factory used by
-/// long-lived services (`pathway serve`) that park many drivers in a job
-/// table and advance each one step per scheduling turn.
-pub fn owned_spec_driver(
-    spec: &RunSpec,
-    problem: AnyProblem,
-    executor: Arc<Executor>,
-) -> Driver<AnyProblem, AnyOptimizer> {
-    let mut optimizer = spec.build_optimizer();
-    optimizer.set_executor(executor);
-    assemble_driver(spec, problem, optimizer)
-}
-
-fn assemble_driver<P: MultiObjectiveProblem>(
+/// # Example
+///
+/// ```
+/// use pathway_core::prelude::*;
+///
+/// let spec = RunSpec::from_text("\
+/// pathway-spec v1
+/// [problem]
+/// name = leaf-design
+/// [optimizer]
+/// kind = archipelago
+/// population = 16
+/// migration_interval = 10
+/// [stop]
+/// max_generations = 40
+/// stagnation_window = 8
+/// stagnation_epsilon = 1e-6
+/// ").unwrap();
+/// let problem = LeafRedesignProblem::new(Scenario::present_low_export());
+/// let history = HistoryObserver::new();
+/// let mut driver = spec_driver(&spec, &problem, Executor::shared(EvalBackend::Serial))
+///     .with_observer(history.clone());
+/// let front = driver.run();
+/// assert!(!front.is_empty());
+/// assert_eq!(history.reports().len(), driver.generation());
+/// assert_eq!(driver.optimizer().evaluations(), 2 * 16 * (driver.generation() + 1));
+/// ```
+pub fn spec_driver<P: MultiObjectiveProblem>(
     spec: &RunSpec,
     problem: P,
-    optimizer: AnyOptimizer,
+    executor: Arc<Executor>,
 ) -> Driver<P, AnyOptimizer> {
-    let mut driver = Driver::new(optimizer, problem).with_stopping(spec.stopping_rule());
+    let mut driver =
+        Driver::new(optimizer_on(spec, executor), problem).with_stopping(spec.stopping_rule());
     if let Some(reference) = &spec.reference_point {
         driver = driver.with_reference_point(reference.clone());
     }
-    if let Some(every) = spec.log_every {
-        driver = driver.with_observer(LogObserver::new(every));
-    }
-    driver
+    with_log_observer(spec, driver)
 }
 
-/// Rebuilds a [`Driver`] continuing `checkpoint` under `spec`: the resumed
-/// run is bit-identical to the uninterrupted one (the engine's
-/// checkpoint/resume guarantee), with the spec's stopping rule and observer
-/// configuration re-attached.
+/// Rebuilds a [`Driver`] continuing `checkpoint` under `spec`, on
+/// `executor`: the resumed run is bit-identical to the uninterrupted one
+/// (the engine's checkpoint/resume guarantee), with the spec's stopping
+/// rule and observer configuration re-attached. Executors are
+/// configuration, not run state, so resuming under a different executor
+/// (or worker count) than the checkpointing run changes only the
+/// wall-clock. Problem ownership works as in [`spec_driver`].
 ///
 /// Callers are responsible for having verified that the checkpoint belongs
 /// to `spec` (see
@@ -398,77 +403,72 @@ fn assemble_driver<P: MultiObjectiveProblem>(
 ///
 /// Propagates [`EngineError`] when the checkpointed state does not fit the
 /// spec's optimizer.
-pub fn resume_spec_driver<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-    checkpoint: RunCheckpoint,
-) -> Result<Driver<&'p AnyProblem, AnyOptimizer>, EngineError> {
-    resume_driver_inner(spec, problem, checkpoint, None)
-}
-
-/// Like [`resume_spec_driver`], with an explicit evaluation [`Executor`]
-/// installed on the optimizer before the checkpoint is restored into it.
-/// Executors are configuration, not run state: resuming under a different
-/// executor (or worker count) than the checkpointing run preserves
-/// bit-identical results, only the wall-clock changes.
-///
-/// # Errors
-///
-/// Same as [`resume_spec_driver`].
-pub fn resume_spec_driver_with_executor<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-    checkpoint: RunCheckpoint,
-    executor: Arc<Executor>,
-) -> Result<Driver<&'p AnyProblem, AnyOptimizer>, EngineError> {
-    resume_driver_inner(spec, problem, checkpoint, Some(executor))
-}
-
-/// Like [`resume_spec_driver_with_executor`], but the rebuilt driver takes
-/// *ownership* of the problem — the resume-side counterpart of
-/// [`owned_spec_driver`], used by services restoring parked jobs after a
-/// restart.
-///
-/// # Errors
-///
-/// Same as [`resume_spec_driver`].
-pub fn owned_resume_spec_driver(
-    spec: &RunSpec,
-    problem: AnyProblem,
-    checkpoint: RunCheckpoint,
-    executor: Arc<Executor>,
-) -> Result<Driver<AnyProblem, AnyOptimizer>, EngineError> {
-    resume_driver_inner(spec, problem, checkpoint, Some(executor))
-}
-
-fn resume_driver_inner<P: MultiObjectiveProblem>(
+pub fn resume_spec_driver<P: MultiObjectiveProblem>(
     spec: &RunSpec,
     problem: P,
     checkpoint: RunCheckpoint,
-    executor: Option<Arc<Executor>>,
+    executor: Arc<Executor>,
 ) -> Result<Driver<P, AnyOptimizer>, EngineError> {
     let missing_reference = checkpoint.reference_point.is_none();
-    let mut optimizer = spec.build_optimizer();
-    if let Some(executor) = executor {
-        optimizer.set_executor(executor);
-    }
-    let mut driver =
-        Driver::resume(optimizer, problem, checkpoint)?.with_stopping(spec.stopping_rule());
+    let mut driver = Driver::resume(optimizer_on(spec, executor), problem, checkpoint)?
+        .with_stopping(spec.stopping_rule());
     if missing_reference {
         if let Some(reference) = &spec.reference_point {
             driver = driver.with_reference_point(reference.clone());
         }
     }
-    if let Some(every) = spec.log_every {
-        driver = driver.with_observer(LogObserver::new(every));
+    Ok(with_log_observer(spec, driver))
+}
+
+fn optimizer_on(spec: &RunSpec, executor: Arc<Executor>) -> AnyOptimizer {
+    let mut optimizer = spec.build_optimizer();
+    optimizer.set_executor(executor);
+    optimizer
+}
+
+fn with_log_observer<P: MultiObjectiveProblem>(
+    spec: &RunSpec,
+    driver: Driver<P, AnyOptimizer>,
+) -> Driver<P, AnyOptimizer> {
+    match spec.log_every {
+        Some(every) => driver.with_observer(LogObserver::new(every)),
+        None => driver,
     }
-    Ok(driver)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathway_moo::engine::{Nsga2Spec, OptimizerSpec, StoppingSpec};
+    use pathway_moo::engine::{
+        ArchipelagoSpec, HistoryObserver, Nsga2Spec, OptimizerSpec, StoppingSpec,
+    };
+    use pathway_moo::EvalBackend;
+
+    fn serial() -> Arc<Executor> {
+        Executor::shared(EvalBackend::Serial)
+    }
+
+    /// A small PMO2 run on Schaffer: 2 islands of 20, migration every 5
+    /// generations, 15 generations.
+    fn schaffer_archipelago_spec(seed: u64) -> RunSpec {
+        RunSpec {
+            problem: ProblemSpec::named("schaffer"),
+            optimizer: OptimizerSpec::Archipelago(ArchipelagoSpec {
+                island: Nsga2Spec {
+                    population: 20,
+                    ..Default::default()
+                },
+                migration_interval: 5,
+                ..Default::default()
+            }),
+            seed,
+            stopping: StoppingSpec {
+                max_generations: 15,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
 
     fn schaffer_spec(seed: u64, generations: usize) -> RunSpec {
         RunSpec {
@@ -529,13 +529,13 @@ mod tests {
     fn spec_driver_runs_and_resumes_bit_identically() {
         let spec = schaffer_spec(5, 12);
         let problem = AnyProblem::from_spec(&spec.problem).unwrap();
-        let unsplit = spec_driver(&spec, &problem).run();
+        let unsplit = spec_driver(&spec, &problem, serial()).run();
 
-        let mut first = spec_driver(&spec, &problem);
+        let mut first = spec_driver(&spec, &problem, serial());
         for _ in 0..4 {
             first.step();
         }
-        let resumed = resume_spec_driver(&spec, &problem, first.checkpoint())
+        let resumed = resume_spec_driver(&spec, &problem, first.checkpoint(), serial())
             .expect("same spec")
             .run();
         assert_eq!(unsplit, resumed);
@@ -557,13 +557,90 @@ mod tests {
     fn resume_rejects_a_mismatched_optimizer_shape() {
         let spec = schaffer_spec(5, 12);
         let problem = AnyProblem::from_spec(&spec.problem).unwrap();
-        let mut driver = spec_driver(&spec, &problem);
+        let mut driver = spec_driver(&spec, &problem, serial());
         driver.step();
         let checkpoint = driver.checkpoint();
         let different = RunSpec {
             optimizer: OptimizerSpec::Moead(Default::default()),
             ..schaffer_spec(5, 12)
         };
-        assert!(resume_spec_driver(&different, &problem, checkpoint).is_err());
+        assert!(resume_spec_driver(&different, &problem, checkpoint, serial()).is_err());
+    }
+
+    #[test]
+    fn run_reports_actual_budget_spent() {
+        let mut driver = spec_driver(&schaffer_archipelago_spec(5), Schaffer, serial());
+        let front = driver.run();
+        assert!(!front.is_empty());
+        assert_eq!(driver.generation(), 15);
+        assert_eq!(driver.optimizer().evaluations(), 2 * 20 * (15 + 1));
+    }
+
+    #[test]
+    fn extra_stopping_rules_end_the_run_early() {
+        let mut spec = schaffer_archipelago_spec(2);
+        spec.stopping.max_evaluations = Some(2 * 20 * 3);
+        let mut driver = spec_driver(&spec, Schaffer, serial());
+        driver.run();
+        assert!(driver.generation() < 15);
+        assert!(driver.optimizer().evaluations() <= 2 * 20 * 4);
+    }
+
+    #[test]
+    fn driver_exposes_observers_and_checkpoints() {
+        let history = HistoryObserver::new();
+        let mut driver = spec_driver(&schaffer_archipelago_spec(9), Schaffer, serial())
+            .with_observer(history.clone());
+        driver.step();
+        let checkpoint = driver.checkpoint();
+        assert_eq!(checkpoint.generation, 1);
+        assert_eq!(history.reports().len(), 1);
+    }
+
+    #[test]
+    fn shared_executor_changes_nothing_but_the_pool() {
+        let spec = schaffer_archipelago_spec(7);
+        let mut plain = spec_driver(&spec, Schaffer, serial());
+        let mut pooled = spec_driver(&spec, Schaffer, Executor::shared(EvalBackend::Threads(2)));
+        assert_eq!(plain.run(), pooled.run());
+        assert_eq!(
+            plain.optimizer().evaluations(),
+            pooled.optimizer().evaluations()
+        );
+    }
+
+    #[test]
+    fn leaf_problem_study_runs_end_to_end() {
+        let mut spec = schaffer_archipelago_spec(1);
+        spec.problem = ProblemSpec::named("leaf-design");
+        spec.stopping.max_generations = 6;
+        if let OptimizerSpec::Archipelago(archipelago) = &mut spec.optimizer {
+            archipelago.island.population = 12;
+            archipelago.migration_interval = 3;
+        }
+        let scenario = Scenario::present_low_export();
+        let front = spec_driver(&spec, LeafRedesignProblem::new(scenario), serial()).run();
+        assert!(!front.is_empty());
+        assert_eq!(front[0].objectives.len(), 2);
+    }
+
+    #[test]
+    fn concrete_problem_matches_the_registry_problem_bit_for_bit() {
+        let spec = RunSpec::from_text(
+            "pathway-spec v1\n\
+             [problem]\nname = leaf-design\nera = present\nexport = high\n\
+             [optimizer]\nkind = archipelago\npopulation = 12\nmigration_interval = 3\n\
+             [run]\nseed = 13\n\
+             [stop]\nmax_generations = 6\n",
+        )
+        .expect("valid spec");
+        let registry = AnyProblem::from_spec(&spec.problem).expect("registry problem");
+        let concrete = LeafRedesignProblem::new(Scenario::present_high_export());
+        for backend in [EvalBackend::Serial, EvalBackend::Threads(2)] {
+            let expected = spec_driver(&spec, &registry, serial()).run();
+            let mut driver = spec_driver(&spec, &concrete, Executor::shared(backend));
+            assert_eq!(driver.run(), expected, "{backend:?}");
+            assert_eq!(driver.generation(), 6);
+        }
     }
 }

@@ -56,36 +56,6 @@ impl SelectionRow {
     }
 }
 
-/// One series of the paper's Figure 1: the Pareto front of one scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure1Series {
-    /// Scenario label, e.g. `"Present: Ci=270, low export"`.
-    pub label: String,
-    /// `(CO₂ uptake, nitrogen)` points along the front.
-    pub points: Vec<(f64, f64)>,
-}
-
-/// One bar of the paper's Figure 2: the concentration ratio of one enzyme in
-/// the re-engineered leaf relative to the natural leaf.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure2Bar {
-    /// Enzyme name as labelled in the figure.
-    pub enzyme: String,
-    /// Ratio of engineered to natural capacity.
-    pub ratio: f64,
-}
-
-/// One labelled point of the paper's Figure 4 (Geobacter Pareto front).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure4Point {
-    /// Point label (A–E in the paper).
-    pub label: String,
-    /// Electron production in mmol/gDW/h.
-    pub electron_production: f64,
-    /// Biomass production in 1/h.
-    pub biomass_production: f64,
-}
-
 /// Renders rows of cells as an aligned plain-text table with a header.
 ///
 /// # Example
@@ -176,25 +146,5 @@ mod tests {
         assert!(lines[0].starts_with("Name"));
         assert!(lines[1].starts_with('-'));
         assert!(lines[3].starts_with("long-name"));
-    }
-
-    #[test]
-    fn figure_types_hold_their_data() {
-        let series = Figure1Series {
-            label: "present".into(),
-            points: vec![(15.5, 208_330.0)],
-        };
-        assert_eq!(series.points.len(), 1);
-        let bar = Figure2Bar {
-            enzyme: "Rubisco".into(),
-            ratio: 0.9,
-        };
-        assert_eq!(bar.enzyme, "Rubisco");
-        let point = Figure4Point {
-            label: "A".into(),
-            electron_production: 158.14,
-            biomass_production: 0.3,
-        };
-        assert!(point.electron_production > point.biomass_production);
     }
 }

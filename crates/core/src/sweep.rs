@@ -39,10 +39,7 @@ use pathway_moo::metrics::{global_coverage, hypervolume, union_front};
 use pathway_moo::Individual;
 
 use crate::jsonlite::JsonValue;
-use crate::registry::{
-    resume_spec_driver_with_executor, spec_driver_with_executor, validate_spec_against_problem,
-    AnyProblem,
-};
+use crate::registry::{resume_spec_driver, spec_driver, validate_spec_against_problem, AnyProblem};
 
 /// The header line of bit-exact front files.
 pub const FRONT_HEADER: &str = "pathway-front v1";
@@ -279,18 +276,11 @@ pub fn run_sweep_with_metrics(
             Some(path) => {
                 let stored = CheckpointStore::load_matching(&path, &cell.spec)?;
                 let generation = stored.generation();
-                let driver = resume_spec_driver_with_executor(
-                    &exec_spec,
-                    &problem,
-                    stored.checkpoint,
-                    executor.clone(),
-                )?;
+                let driver =
+                    resume_spec_driver(&exec_spec, &problem, stored.checkpoint, executor.clone())?;
                 (driver, Some(generation))
             }
-            None => (
-                spec_driver_with_executor(&exec_spec, &problem, executor.clone()),
-                None,
-            ),
+            None => (spec_driver(&exec_spec, &problem, executor.clone()), None),
         };
         if let Some(registry) = metrics {
             driver = driver.with_metrics(registry.clone());

@@ -32,8 +32,7 @@ pub enum MigrationTopology {
 pub struct ArchipelagoConfig {
     /// Number of islands (the paper uses 2).
     pub islands: usize,
-    /// NSGA-II configuration used on every island. `generations` here is the
-    /// total evolution length of [`Archipelago::run`]. The evaluation backend
+    /// NSGA-II configuration used on every island. The evaluation backend
     /// is configured here too (`island_config.backend`): each island applies
     /// it to its own offspring batches, multiplying the coarse-grained island
     /// parallelism by fine-grained evaluation parallelism.
@@ -84,15 +83,18 @@ impl Default for ArchipelagoConfig {
 /// # Example
 ///
 /// ```
-/// use pathway_moo::{Archipelago, ArchipelagoConfig, Nsga2Config, problems::Schaffer};
+/// use pathway_moo::{Archipelago, ArchipelagoConfig, Driver, Nsga2Config, StoppingRule};
+/// use pathway_moo::problems::Schaffer;
 ///
 /// let config = ArchipelagoConfig {
 ///     islands: 2,
-///     island_config: Nsga2Config { population_size: 30, generations: 40, ..Default::default() },
+///     island_config: Nsga2Config { population_size: 30, ..Default::default() },
 ///     migration_interval: 10,
 ///     ..Default::default()
 /// };
-/// let front = Archipelago::new(config, 7).run(&Schaffer);
+/// let front = Driver::new(Archipelago::new(config, 7), Schaffer)
+///     .with_stopping(StoppingRule::MaxGenerations(40))
+///     .run();
 /// assert!(!front.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -133,15 +135,7 @@ impl Archipelago {
             "migration interval must be positive"
         );
         let islands: Vec<Nsga2> = (0..config.islands)
-            .map(|i| {
-                let island_config = Nsga2Config {
-                    // Islands are driven per generation by the archipelago;
-                    // their own generation budget is unused.
-                    generations: 0,
-                    ..config.island_config
-                };
-                Nsga2::new(island_config, seed.wrapping_add(1 + i as u64))
-            })
+            .map(|i| Nsga2::new(config.island_config, seed.wrapping_add(1 + i as u64)))
             .collect();
         let archive_capacity = config.island_config.population_size.max(1);
         Archipelago {
@@ -216,11 +210,6 @@ impl Archipelago {
         self.seed
     }
 
-    /// Number of generations every island has completed.
-    pub fn generations_done(&self) -> usize {
-        self.generations_done
-    }
-
     /// The islands, in index order.
     pub fn islands(&self) -> &[Nsga2] {
         &self.islands
@@ -275,18 +264,6 @@ impl Archipelago {
             });
         }
         self.generations_done += 1;
-    }
-
-    /// Runs the configured number of generations
-    /// (`island_config.generations`) and returns the merged non-dominated
-    /// front across all islands. Continues from wherever previous `step` /
-    /// `run` calls left the archipelago.
-    pub fn run<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Individual> {
-        self.initialize(problem);
-        for _ in 0..self.config.island_config.generations {
-            self.step(problem);
-        }
-        self.front()
     }
 
     /// The merged non-dominated front across all islands' current
@@ -528,15 +505,15 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Archipelago {
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use crate::engine::run_generations;
     use crate::metrics;
     use crate::problems::{Schaffer, Zdt1};
 
-    fn config(islands: usize, generations: usize, interval: usize) -> ArchipelagoConfig {
+    fn config(islands: usize, interval: usize) -> ArchipelagoConfig {
         ArchipelagoConfig {
             islands,
             island_config: Nsga2Config {
                 population_size: 30,
-                generations,
                 ..Default::default()
             },
             migration_interval: interval,
@@ -547,7 +524,7 @@ mod tests {
 
     #[test]
     fn pmo2_finds_the_schaffer_front() {
-        let front = Archipelago::new(config(2, 40, 10), 42).run(&Schaffer);
+        let front = run_generations(Archipelago::new(config(2, 10), 42), &Schaffer, 40);
         assert!(front.len() >= 10);
         for individual in &front {
             assert!(individual.variables[0] > -0.3 && individual.variables[0] < 2.3);
@@ -556,7 +533,11 @@ mod tests {
 
     #[test]
     fn merged_front_is_mutually_nondominating_and_deduplicated() {
-        let front = Archipelago::new(config(3, 30, 10), 5).run(&Zdt1 { variables: 6 });
+        let front = run_generations(
+            Archipelago::new(config(3, 10), 5),
+            &Zdt1 { variables: 6 },
+            30,
+        );
         for a in &front {
             for b in &front {
                 assert!(!dominates(&a.objectives, &b.objectives) || a.objectives == b.objectives);
@@ -569,8 +550,8 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible_despite_threads() {
-        let a = Archipelago::new(config(2, 20, 5), 9).run(&Schaffer);
-        let b = Archipelago::new(config(2, 20, 5), 9).run(&Schaffer);
+        let a = run_generations(Archipelago::new(config(2, 5), 9), &Schaffer, 20);
+        let b = run_generations(Archipelago::new(config(2, 5), 9), &Schaffer, 20);
         assert_eq!(
             a.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>(),
             b.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>()
@@ -578,31 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn stepwise_run_matches_monolithic_run() {
-        let monolithic = Archipelago::new(config(2, 15, 4), 31).run(&Schaffer);
-        let mut stepped = Archipelago::new(config(2, 15, 4), 31);
-        stepped.initialize(&Schaffer);
-        for _ in 0..15 {
-            stepped.step(&Schaffer);
-        }
-        assert_eq!(stepped.generations_done(), 15);
-        assert_eq!(
-            monolithic
-                .iter()
-                .map(|i| i.objectives.clone())
-                .collect::<Vec<_>>(),
-            stepped
-                .front()
-                .iter()
-                .map(|i| i.objectives.clone())
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn migration_improves_over_isolated_islands_on_zdt1() {
         let problem = Zdt1 { variables: 12 };
-        let base = config(2, 60, 15);
+        let base = config(2, 15);
         let isolated = ArchipelagoConfig {
             topology: MigrationTopology::Isolated,
             ..base
@@ -612,8 +571,8 @@ mod tests {
         let mut hv_migration = 0.0;
         let mut hv_isolated = 0.0;
         for seed in 0..3 {
-            let with_migration = Archipelago::new(base, seed).run(&problem);
-            let without = Archipelago::new(isolated, seed).run(&problem);
+            let with_migration = run_generations(Archipelago::new(base, seed), &problem, 60);
+            let without = run_generations(Archipelago::new(isolated, seed), &problem, 60);
             hv_migration += metrics::hypervolume(
                 &with_migration
                     .iter()
@@ -640,9 +599,9 @@ mod tests {
     fn ring_topology_runs() {
         let cfg = ArchipelagoConfig {
             topology: MigrationTopology::Ring,
-            ..config(3, 20, 5)
+            ..config(3, 5)
         };
-        let front = Archipelago::new(cfg, 3).run(&Schaffer);
+        let front = run_generations(Archipelago::new(cfg, 3), &Schaffer, 20);
         assert!(!front.is_empty());
     }
 
@@ -683,10 +642,10 @@ mod tests {
     fn ring_runs_are_deterministic() {
         let cfg = ArchipelagoConfig {
             topology: MigrationTopology::Ring,
-            ..config(3, 18, 4)
+            ..config(3, 4)
         };
-        let a = Archipelago::new(cfg, 11).run(&Schaffer);
-        let b = Archipelago::new(cfg, 11).run(&Schaffer);
+        let a = run_generations(Archipelago::new(cfg, 11), &Schaffer, 18);
+        let b = run_generations(Archipelago::new(cfg, 11), &Schaffer, 18);
         assert_eq!(a, b);
     }
 

@@ -104,8 +104,8 @@ pub struct Driver<P: MultiObjectiveProblem, O: Optimizer<P>> {
 impl<P: MultiObjectiveProblem, O: Optimizer<P>> Driver<P, O> {
     /// Creates a driver for a fresh run.
     ///
-    /// The default stopping rule is `MaxGenerations(250)` (matching the
-    /// algorithm configs' default generation budget); override it with
+    /// The default stopping rule is `MaxGenerations(250)` (matching a
+    /// [`RunSpec`](crate::engine::RunSpec)'s default generation budget); override it with
     /// [`with_stopping`](Driver::with_stopping). `problem` is moved into
     /// the driver; pass `&problem` to keep ownership at the call site.
     pub fn new(optimizer: O, problem: P) -> Self {

@@ -75,6 +75,20 @@ pub use telemetry::{
 
 use crate::{Individual, MultiObjectiveProblem};
 
+/// Drives a fresh `optimizer` over `problem` for exactly `generations`
+/// generations and returns the final front: the unit tests' shorthand for
+/// a budget-bounded [`Driver`] run.
+#[cfg(test)]
+pub(crate) fn run_generations<'p, P: MultiObjectiveProblem, O: Optimizer<&'p P>>(
+    optimizer: O,
+    problem: &'p P,
+    generations: usize,
+) -> Vec<Individual> {
+    Driver::new(optimizer, problem)
+        .with_stopping(StoppingRule::MaxGenerations(generations))
+        .run()
+}
+
 /// A resumable, step-driven multi-objective optimizer over problem type `P`.
 ///
 /// The contract every implementation upholds:

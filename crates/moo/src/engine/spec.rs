@@ -205,12 +205,10 @@ impl Default for Nsga2Spec {
 }
 
 impl Nsga2Spec {
-    /// The equivalent algorithm configuration, with the given generation
-    /// budget filled in.
-    pub fn config(&self, generations: usize) -> Nsga2Config {
+    /// The equivalent algorithm configuration.
+    pub fn config(&self) -> Nsga2Config {
         Nsga2Config {
             population_size: self.population,
-            generations,
             crossover_probability: self.crossover_probability,
             eta_crossover: self.eta_crossover,
             mutation_probability: self.mutation_probability,
@@ -253,12 +251,10 @@ impl Default for MoeadSpec {
 }
 
 impl MoeadSpec {
-    /// The equivalent algorithm configuration, with the given generation
-    /// budget filled in.
-    pub fn config(&self, generations: usize) -> MoeadConfig {
+    /// The equivalent algorithm configuration.
+    pub fn config(&self) -> MoeadConfig {
         MoeadConfig {
             population_size: self.population,
-            generations,
             neighborhood_size: self.neighborhood,
             eta_crossover: self.eta_crossover,
             eta_mutation: self.eta_mutation,
@@ -298,12 +294,11 @@ impl Default for ArchipelagoSpec {
 }
 
 impl ArchipelagoSpec {
-    /// The equivalent algorithm configuration, with the given generation
-    /// budget filled in.
-    pub fn config(&self, generations: usize) -> ArchipelagoConfig {
+    /// The equivalent algorithm configuration.
+    pub fn config(&self) -> ArchipelagoConfig {
         ArchipelagoConfig {
             islands: self.islands,
-            island_config: self.island.config(generations),
+            island_config: self.island.config(),
             migration_interval: self.migration_interval,
             migration_probability: self.migration_probability,
             topology: self.topology,
@@ -350,22 +345,19 @@ impl OptimizerSpec {
         }
     }
 
-    /// Builds a fresh optimizer from this description.
-    ///
-    /// `generations` fills the config's (engine-ignored, but kept coherent)
-    /// generation field; the driver's stopping rule is what actually bounds
-    /// the run.
-    pub fn build(&self, seed: u64, generations: usize) -> AnyOptimizer {
+    /// Builds a fresh optimizer from this description. Run length is not
+    /// part of it: the driver's stopping rule bounds the run.
+    pub fn build(&self, seed: u64) -> AnyOptimizer {
         match self {
             OptimizerSpec::Nsga2(spec) => {
-                AnyOptimizer::Nsga2(Box::new(Nsga2::new(spec.config(generations), seed)))
+                AnyOptimizer::Nsga2(Box::new(Nsga2::new(spec.config(), seed)))
             }
             OptimizerSpec::Moead(spec) => {
-                AnyOptimizer::Moead(Box::new(Moead::new(spec.config(generations), seed)))
+                AnyOptimizer::Moead(Box::new(Moead::new(spec.config(), seed)))
             }
-            OptimizerSpec::Archipelago(spec) => AnyOptimizer::Archipelago(Box::new(
-                Archipelago::new(spec.config(generations), seed),
-            )),
+            OptimizerSpec::Archipelago(spec) => {
+                AnyOptimizer::Archipelago(Box::new(Archipelago::new(spec.config(), seed)))
+            }
         }
     }
 }
@@ -446,8 +438,7 @@ impl RunSpec {
 
     /// Builds a fresh optimizer for this run.
     pub fn build_optimizer(&self) -> AnyOptimizer {
-        self.optimizer
-            .build(self.seed, self.stopping.max_generations)
+        self.optimizer.build(self.seed)
     }
 
     /// FNV-1a hash of the canonical text rendering. Two specs have equal
@@ -1514,7 +1505,7 @@ mod tests {
             Optimizer::<Schaffer>::front(&b)
         );
         // Kind mismatch is rejected.
-        let mut moead = OptimizerSpec::Moead(MoeadSpec::default()).build(1, 5);
+        let mut moead = OptimizerSpec::Moead(MoeadSpec::default()).build(1);
         let err = Optimizer::<Schaffer>::restore(&mut moead, Optimizer::<Schaffer>::state(&a))
             .unwrap_err();
         assert!(matches!(err, EngineError::StateMismatch { .. }));

@@ -33,10 +33,12 @@
 //! # Example
 //!
 //! ```
-//! use pathway_moo::{Nsga2, Nsga2Config, problems::Schaffer};
+//! use pathway_moo::{Driver, Nsga2, Nsga2Config, StoppingRule, problems::Schaffer};
 //!
-//! let config = Nsga2Config { population_size: 40, generations: 50, ..Default::default() };
-//! let front = Nsga2::new(config, 42).run(&Schaffer);
+//! let config = Nsga2Config { population_size: 40, ..Default::default() };
+//! let front = Driver::new(Nsga2::new(config, 42), Schaffer)
+//!     .with_stopping(StoppingRule::MaxGenerations(50))
+//!     .run();
 //! assert!(!front.is_empty());
 //! // Every solution on the Schaffer front has x in [0, 2].
 //! for individual in &front {

@@ -14,8 +14,6 @@ use crate::{polynomial_mutation, sbx_crossover, EvalBackend, Individual, MultiOb
 pub struct MoeadConfig {
     /// Number of sub-problems (weight vectors), which is also the population size.
     pub population_size: usize,
-    /// Number of generations.
-    pub generations: usize,
     /// Neighbourhood size (number of closest weight vectors).
     pub neighborhood_size: usize,
     /// SBX distribution index.
@@ -34,7 +32,6 @@ impl Default for MoeadConfig {
     fn default() -> Self {
         MoeadConfig {
             population_size: 100,
-            generations: 250,
             neighborhood_size: 20,
             eta_crossover: 15.0,
             eta_mutation: 20.0,
@@ -52,20 +49,21 @@ impl Default for MoeadConfig {
 /// evaluates.
 ///
 /// The solver is step-driven: [`Moead::initialize`] builds the weight
-/// vectors, neighbourhoods and initial population, [`Moead::step`] advances
-/// one generation, and [`Moead::run`] is the convenience loop over the
-/// configured generation budget. It implements
-/// [`Optimizer`](crate::engine::Optimizer), so it can be driven, observed,
-/// stopped early and checkpointed by a [`crate::engine::Driver`] exactly
-/// like NSGA-II.
+/// vectors, neighbourhoods and initial population and [`Moead::step`]
+/// advances one generation. It implements
+/// [`Optimizer`](crate::engine::Optimizer), so it is driven, observed,
+/// stopped and checkpointed by a [`crate::engine::Driver`] exactly like
+/// NSGA-II.
 ///
 /// # Example
 ///
 /// ```
-/// use pathway_moo::{Moead, MoeadConfig, problems::Schaffer};
+/// use pathway_moo::{Driver, Moead, MoeadConfig, StoppingRule, problems::Schaffer};
 ///
-/// let config = MoeadConfig { population_size: 40, generations: 50, ..Default::default() };
-/// let front = Moead::new(config, 3).run(&Schaffer);
+/// let config = MoeadConfig { population_size: 40, ..Default::default() };
+/// let front = Driver::new(Moead::new(config, 3), Schaffer)
+///     .with_stopping(StoppingRule::MaxGenerations(50))
+///     .run();
 /// assert!(!front.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -330,20 +328,6 @@ impl Moead {
             .collect()
     }
 
-    /// Runs the configured number of generations and returns the
-    /// non-dominated subset of the final population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem has more than three objectives.
-    pub fn run<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Individual> {
-        self.initialize(problem);
-        for _ in 0..self.config.generations {
-            self.step(problem);
-        }
-        self.front()
-    }
-
     /// Captures the solver's run state as plain data. The weight vectors and
     /// neighbourhoods are derived data and deliberately not captured — they
     /// are rebuilt on the next [`Moead::initialize`].
@@ -453,12 +437,12 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Moead {
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use crate::engine::run_generations;
     use crate::problems::{Dtlz2, Schaffer, Zdt1};
 
-    fn config(generations: usize) -> MoeadConfig {
+    fn config() -> MoeadConfig {
         MoeadConfig {
             population_size: 40,
-            generations,
             neighborhood_size: 10,
             ..Default::default()
         }
@@ -466,7 +450,7 @@ mod tests {
 
     #[test]
     fn schaffer_front_is_covered() {
-        let front = Moead::new(config(60), 4).run(&Schaffer);
+        let front = run_generations(Moead::new(config(), 4), &Schaffer, 60);
         assert!(front.len() >= 5);
         for individual in &front {
             assert!(individual.variables[0] > -0.3 && individual.variables[0] < 2.3);
@@ -475,7 +459,7 @@ mod tests {
 
     #[test]
     fn front_is_mutually_nondominating() {
-        let front = Moead::new(config(40), 8).run(&Zdt1 { variables: 6 });
+        let front = run_generations(Moead::new(config(), 8), &Zdt1 { variables: 6 }, 40);
         for a in &front {
             for b in &front {
                 assert!(!dominates(&a.objectives, &b.objectives) || a.objectives == b.objectives);
@@ -485,7 +469,7 @@ mod tests {
 
     #[test]
     fn three_objective_problem_is_supported() {
-        let front = Moead::new(config(30), 5).run(&Dtlz2 { variables: 6 });
+        let front = run_generations(Moead::new(config(), 5), &Dtlz2 { variables: 6 }, 30);
         assert!(!front.is_empty());
         assert_eq!(front[0].objectives.len(), 3);
     }
@@ -500,8 +484,8 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible() {
-        let a = Moead::new(config(15), 77).run(&Schaffer);
-        let b = Moead::new(config(15), 77).run(&Schaffer);
+        let a = run_generations(Moead::new(config(), 77), &Schaffer, 15);
+        let b = run_generations(Moead::new(config(), 77), &Schaffer, 15);
         assert_eq!(
             a.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>(),
             b.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>()
@@ -509,29 +493,8 @@ mod tests {
     }
 
     #[test]
-    fn stepwise_run_matches_monolithic_run() {
-        let monolithic = Moead::new(config(12), 5).run(&Schaffer);
-        let mut stepped = Moead::new(config(12), 5);
-        stepped.initialize(&Schaffer);
-        for _ in 0..12 {
-            stepped.step(&Schaffer);
-        }
-        let front = stepped.front();
-        assert_eq!(
-            monolithic
-                .iter()
-                .map(|i| i.objectives.clone())
-                .collect::<Vec<_>>(),
-            front
-                .iter()
-                .map(|i| i.objectives.clone())
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn parity_accessors_expose_and_replace_the_population() {
-        let mut solver = Moead::new(config(2), 3);
+        let mut solver = Moead::new(config(), 3);
         solver.initialize(&Schaffer);
         assert_eq!(solver.population().len(), 40);
         assert_eq!(solver.evaluations(), 40);
@@ -546,7 +509,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one incumbent per weight vector")]
     fn set_population_rejects_wrong_sizes_once_initialized() {
-        let mut solver = Moead::new(config(1), 0);
+        let mut solver = Moead::new(config(), 0);
         solver.initialize(&Schaffer);
         solver.set_population(Vec::new());
     }
@@ -569,6 +532,6 @@ mod tests {
                 vec![x[0]; 4]
             }
         }
-        let _ = Moead::new(config(1), 0).run(&FourObjectives);
+        let _ = run_generations(Moead::new(config(), 0), &FourObjectives, 1);
     }
 }

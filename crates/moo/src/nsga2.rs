@@ -18,8 +18,6 @@ use crate::{
 pub struct Nsga2Config {
     /// Number of individuals kept each generation.
     pub population_size: usize,
-    /// Number of generations to evolve.
-    pub generations: usize,
     /// Probability of applying SBX crossover to a mating pair.
     pub crossover_probability: f64,
     /// SBX distribution index (η_c).
@@ -37,7 +35,6 @@ impl Default for Nsga2Config {
     fn default() -> Self {
         Nsga2Config {
             population_size: 100,
-            generations: 250,
             crossover_probability: 0.9,
             eta_crossover: 15.0,
             mutation_probability: None,
@@ -55,10 +52,12 @@ impl Default for Nsga2Config {
 /// # Example
 ///
 /// ```
-/// use pathway_moo::{Nsga2, Nsga2Config, problems::Zdt1};
+/// use pathway_moo::{Driver, Nsga2, Nsga2Config, StoppingRule, problems::Zdt1};
 ///
-/// let config = Nsga2Config { population_size: 40, generations: 60, ..Default::default() };
-/// let front = Nsga2::new(config, 1).run(&Zdt1 { variables: 6 });
+/// let config = Nsga2Config { population_size: 40, ..Default::default() };
+/// let front = Driver::new(Nsga2::new(config, 1), Zdt1 { variables: 6 })
+///     .with_stopping(StoppingRule::MaxGenerations(60))
+///     .run();
 /// assert!(front.len() > 5);
 /// ```
 #[derive(Debug, Clone)]
@@ -297,16 +296,6 @@ impl Nsga2 {
             .collect()
     }
 
-    /// Runs the configured number of generations and returns the final
-    /// non-dominated set.
-    pub fn run<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Individual> {
-        self.initialize(problem);
-        for _ in 0..self.config.generations {
-            self.step(problem);
-        }
-        self.nondominated_front()
-    }
-
     /// Non-dominated members of the current population (rank 0 under
     /// constrained domination).
     ///
@@ -404,19 +393,19 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Nsga2 {
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use crate::engine::run_generations;
     use crate::problems::{BinhKorn, Schaffer, Zdt1};
 
-    fn small_config(generations: usize) -> Nsga2Config {
+    fn small_config() -> Nsga2Config {
         Nsga2Config {
             population_size: 40,
-            generations,
             ..Default::default()
         }
     }
 
     #[test]
     fn schaffer_front_is_found() {
-        let front = Nsga2::new(small_config(60), 42).run(&Schaffer);
+        let front = run_generations(Nsga2::new(small_config(), 42), &Schaffer, 60);
         assert!(front.len() >= 10);
         for individual in &front {
             // Pareto set of the Schaffer problem is x in [0, 2].
@@ -426,7 +415,7 @@ mod tests {
 
     #[test]
     fn front_members_do_not_dominate_each_other() {
-        let front = Nsga2::new(small_config(40), 3).run(&Zdt1 { variables: 6 });
+        let front = run_generations(Nsga2::new(small_config(), 3), &Zdt1 { variables: 6 }, 40);
         for a in &front {
             for b in &front {
                 assert!(!dominates(&a.objectives, &b.objectives) || a.objectives == b.objectives);
@@ -436,15 +425,11 @@ mod tests {
 
     #[test]
     fn zdt1_converges_towards_the_true_front() {
-        let front = Nsga2::new(
-            Nsga2Config {
-                population_size: 60,
-                generations: 150,
-                ..Default::default()
-            },
-            7,
-        )
-        .run(&Zdt1 { variables: 8 });
+        let config = Nsga2Config {
+            population_size: 60,
+            ..Default::default()
+        };
+        let front = run_generations(Nsga2::new(config, 7), &Zdt1 { variables: 8 }, 150);
         // On the true front f2 = 1 - sqrt(f1); measure the mean gap.
         let mean_gap: f64 = front
             .iter()
@@ -456,7 +441,7 @@ mod tests {
 
     #[test]
     fn constrained_problem_yields_feasible_front() {
-        let front = Nsga2::new(small_config(80), 11).run(&BinhKorn);
+        let front = run_generations(Nsga2::new(small_config(), 11), &BinhKorn, 80);
         assert!(!front.is_empty());
         for individual in &front {
             assert!(individual.is_feasible());
@@ -465,8 +450,8 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible() {
-        let a = Nsga2::new(small_config(20), 99).run(&Schaffer);
-        let b = Nsga2::new(small_config(20), 99).run(&Schaffer);
+        let a = run_generations(Nsga2::new(small_config(), 99), &Schaffer, 20);
+        let b = run_generations(Nsga2::new(small_config(), 99), &Schaffer, 20);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.objectives, y.objectives);
@@ -475,8 +460,8 @@ mod tests {
 
     #[test]
     fn different_seeds_explore_differently() {
-        let a = Nsga2::new(small_config(10), 1).run(&Zdt1 { variables: 6 });
-        let b = Nsga2::new(small_config(10), 2).run(&Zdt1 { variables: 6 });
+        let a = run_generations(Nsga2::new(small_config(), 1), &Zdt1 { variables: 6 }, 10);
+        let b = run_generations(Nsga2::new(small_config(), 2), &Zdt1 { variables: 6 }, 10);
         assert_ne!(
             a.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>(),
             b.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>()
@@ -485,7 +470,7 @@ mod tests {
 
     #[test]
     fn step_keeps_population_size_constant() {
-        let mut solver = Nsga2::new(small_config(1), 5);
+        let mut solver = Nsga2::new(small_config(), 5);
         solver.initialize(&Schaffer);
         assert_eq!(solver.population().len(), 40);
         solver.step(&Schaffer);
@@ -494,7 +479,7 @@ mod tests {
 
     #[test]
     fn set_population_is_truncated_on_next_step() {
-        let mut solver = Nsga2::new(small_config(1), 5);
+        let mut solver = Nsga2::new(small_config(), 5);
         solver.initialize(&Schaffer);
         let mut inflated: Vec<Individual> = solver.population().clone().into_iter().collect();
         inflated.extend(solver.population().clone());

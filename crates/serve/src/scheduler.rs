@@ -9,8 +9,8 @@
 //! is exactly the nested-submission deadlock `Executor::map_chunks`
 //! documents. The scheduler dissolves the problem structurally: **no thread
 //! ever blocks for a job's lifetime**. Every job is a parked
-//! [`Driver`] owning its problem (the owned-driver form
-//! [`pathway_core::owned_spec_driver`] builds), and the scheduler thread
+//! [`Driver`] owning its problem ([`pathway_core::spec_driver`] with the
+//! problem moved in), and the scheduler thread
 //! advances them round-robin, one `Driver::step` per turn. Each step
 //! submits its evaluation chunks to the shared pool from the scheduler
 //! thread — the ordinary caller-participates path — so the pool's workers
@@ -44,8 +44,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pathway_core::{
-    owned_resume_spec_driver, owned_spec_driver, sweep::render_front,
-    validate_spec_against_problem, AnyProblem,
+    resume_spec_driver, spec_driver, sweep::render_front, validate_spec_against_problem, AnyProblem,
 };
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::{
@@ -331,7 +330,7 @@ impl Scheduler {
             Some(path) => {
                 let stored = CheckpointStore::load_matching(&path, &slot.spec)
                     .map_err(|err| format!("{}: {err}", path.display()))?;
-                owned_resume_spec_driver(
+                resume_spec_driver(
                     &exec_spec,
                     problem,
                     stored.checkpoint,
@@ -339,7 +338,7 @@ impl Scheduler {
                 )
                 .map_err(|err| format!("cannot resume: {err}"))?
             }
-            None => owned_spec_driver(&exec_spec, problem, Arc::clone(&self.executor)),
+            None => spec_driver(&exec_spec, problem, Arc::clone(&self.executor)),
         };
         let driver = driver.with_metrics(self.metrics.clone());
         slot.generation = driver.generation();
@@ -392,7 +391,7 @@ impl Scheduler {
 
         let mut exec_spec = spec.clone();
         exec_spec.log_every = None;
-        let driver = owned_spec_driver(&exec_spec, problem, Arc::clone(&self.executor))
+        let driver = spec_driver(&exec_spec, problem, Arc::clone(&self.executor))
             .with_metrics(self.metrics.clone());
         self.next_job += 1;
         let slot = JobSlot {

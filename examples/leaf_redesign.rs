@@ -4,30 +4,35 @@
 //!
 //! Run with: `cargo run --release --example leaf_redesign`
 //!
-//! Each scenario is one generic [`Study`] over its own
-//! [`LeafRedesignProblem`]; the threaded evaluation backend spreads the
-//! per-candidate ODE steady states over worker threads (bit-identical to the
-//! serial backend for a fixed seed). Set `PATHWAY_EXAMPLE_BUDGET=quick` (as
-//! CI does) to shrink the budgets.
+//! Every scenario runs the search `examples/leaf_redesign.spec` describes,
+//! over its own [`LeafRedesignProblem`] and with the spec's seed offset by
+//! the scenario's index. The spec's threaded evaluation backend spreads the
+//! per-candidate ODE steady states over one pool of worker threads
+//! (bit-identical to the serial backend for a fixed seed). Set
+//! `PATHWAY_EXAMPLE_BUDGET=quick` (as CI does) to shrink the budgets.
 
 use pathway_core::prelude::*;
 use pathway_core::render_table;
 
 mod common;
-use common::quick_budget;
+use common::load_spec;
 
 fn main() {
-    let (population, generations) = if quick_budget() { (16, 20) } else { (50, 120) };
+    let spec = load_spec(include_str!("leaf_redesign.spec"), (16, 20, 6));
+    let executor = Executor::shared(spec.optimizer.backend());
     let mut rows = Vec::new();
     let mut reference_outcome = None;
 
     for (index, scenario) in Scenario::all().into_iter().enumerate() {
-        let study = Study::new(LeafRedesignProblem::new(scenario))
-            .with_budget(population, generations)
-            .with_migration((generations / 3).max(1), 0.5)
-            .with_backend(EvalBackend::Threads(4));
-        let result = study.run(100 + index as u64);
-        let outcome = LeafDesignOutcome::from_front(scenario, result.front, result.evaluations);
+        let scenario_spec = RunSpec {
+            seed: spec.seed + index as u64,
+            ..spec.clone()
+        };
+        let problem = LeafRedesignProblem::new(scenario);
+        let mut driver = spec_driver(&scenario_spec, problem, executor.clone());
+        let front = driver.run();
+        let outcome =
+            LeafDesignOutcome::from_front(scenario, front, driver.optimizer().evaluations());
         let max_uptake = outcome.max_uptake().clone();
         let min_nitrogen = outcome.min_nitrogen().clone();
         rows.push(vec![

@@ -2,34 +2,30 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
-//! The study is expressed through the engine API: a generic [`Study`] over
-//! the leaf redesign problem, driven with a logging observer. Set
+//! The search is the one `examples/quickstart.spec` describes — the same
+//! file `pathway run examples/quickstart.spec` executes — driven through
+//! [`spec_driver`] with the spec's logging observer. Set
 //! `PATHWAY_EXAMPLE_BUDGET=quick` (as CI does) to shrink the budgets.
 
 use pathway_core::prelude::*;
 use pathway_core::{render_table, SelectionRow};
 
 mod common;
-use common::quick_budget;
+use common::{load_spec, quick_budget};
 
 fn main() {
-    let (population, generations, trials) = if quick_budget() {
-        (20, 30, 150)
-    } else {
-        (60, 150, 1_000)
-    };
-
-    // A small but representative study: 2 NSGA-II islands, broadcast
+    // A small but representative search: 2 NSGA-II islands, broadcast
     // migration, present-day CO2 with the low triose-phosphate export rate.
-    let scenario = Scenario::present_low_export();
-    let study = Study::new(LeafRedesignProblem::new(scenario))
-        .with_budget(population, generations)
-        .with_migration((generations / 3).max(1), 0.5);
+    let spec = load_spec(include_str!("quickstart.spec"), (20, 30, 10));
+    let trials = if quick_budget() { 150 } else { 1_000 };
+    let Ok(AnyProblem::LeafDesign(problem)) = AnyProblem::from_spec(&spec.problem) else {
+        panic!("the quickstart spec describes the leaf-design problem");
+    };
+    let scenario = *problem.scenario();
 
     // Drive the run explicitly so we can watch it converge.
-    let mut driver = study
-        .driver(42)
-        .with_observer(LogObserver::new((generations / 5).max(1)));
+    let executor = Executor::shared(spec.optimizer.backend());
+    let mut driver = spec_driver(&spec, problem, executor);
     let front = driver.run();
     let outcome = LeafDesignOutcome::from_front(scenario, front, driver.optimizer().evaluations());
 

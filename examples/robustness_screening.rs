@@ -7,16 +7,17 @@
 //!
 //! Run with: `cargo run --release --example robustness_screening`
 //!
-//! The balanced design comes from a [`Study`] with a hypervolume-stagnation
-//! stopping rule stacked on the generation budget, so the search exits as
-//! soon as the front stops improving. Set `PATHWAY_EXAMPLE_BUDGET=quick` (as
-//! CI does) to shrink the budgets.
+//! The balanced design comes from the search `examples/robustness_screening.spec`
+//! describes: a hypervolume-stagnation stopping rule stacked on the
+//! generation budget, so the search exits as soon as the front stops
+//! improving. Set `PATHWAY_EXAMPLE_BUDGET=quick` (as CI does) to shrink the
+//! budgets.
 
 use pathway_core::prelude::*;
 use pathway_moo::robustness::{global_yield, local_yield, RobustnessOptions};
 
 mod common;
-use common::quick_budget;
+use common::{load_spec, quick_budget};
 
 fn report(label: &str, partition: &EnzymePartition, scenario: &Scenario, trials: usize) {
     let problem = LeafRedesignProblem::new(*scenario);
@@ -50,12 +51,12 @@ fn report(label: &str, partition: &EnzymePartition, scenario: &Scenario, trials:
 }
 
 fn main() {
-    let (population, generations, trials) = if quick_budget() {
-        (16, 30, 300)
-    } else {
-        (40, 80, 2_000)
+    let spec = load_spec(include_str!("robustness_screening.spec"), (16, 30, 15));
+    let trials = if quick_budget() { 300 } else { 2_000 };
+    let Ok(AnyProblem::LeafDesign(problem)) = AnyProblem::from_spec(&spec.problem) else {
+        panic!("the robustness-screening spec describes the leaf-design problem");
     };
-    let scenario = Scenario::present_low_export();
+    let scenario = *problem.scenario();
 
     // 1. The natural leaf.
     report(
@@ -72,15 +73,10 @@ fn main() {
 
     // 3. A balanced design straight from a short PMO2 run, with an early
     //    exit once the hypervolume stops moving.
-    let study = Study::new(LeafRedesignProblem::new(scenario))
-        .with_budget(population, generations)
-        .with_migration((generations / 2).max(1), 0.5)
-        .with_stopping(StoppingRule::HypervolumeStagnation {
-            window: 15,
-            epsilon: 1e-6,
-        });
-    let result = study.run(3);
-    let outcome = LeafDesignOutcome::from_front(scenario, result.front, result.evaluations);
+    let executor = Executor::shared(spec.optimizer.backend());
+    let mut driver = spec_driver(&spec, problem, executor);
+    let front = driver.run();
+    let outcome = LeafDesignOutcome::from_front(scenario, front, driver.optimizer().evaluations());
     let knee = outcome.closest_to_ideal();
     report("closest-to-ideal    ", &knee.partition, &scenario, trials);
 
@@ -89,7 +85,7 @@ fn main() {
         "designs screened from a front of {} Pareto-optimal partitions \
          ({} of {} budgeted generations used)",
         outcome.front.len(),
-        result.generations,
-        generations
+        driver.generation(),
+        spec.stopping.max_generations
     );
 }

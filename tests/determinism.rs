@@ -22,6 +22,7 @@
 use std::sync::Arc;
 
 use pathway_core::prelude::*;
+use pathway_moo::engine::{ArchipelagoSpec, Nsga2Spec};
 use pathway_moo::problems::{Schaffer, Zdt1};
 use pathway_photosynthesis::EnzymePartition;
 
@@ -33,18 +34,33 @@ fn signature(front: &[Individual]) -> Vec<(Vec<f64>, Vec<f64>, f64)> {
         .collect()
 }
 
+fn nsga2_spec(population: usize, generations: usize, backend: EvalBackend, seed: u64) -> RunSpec {
+    RunSpec {
+        optimizer: OptimizerSpec::Nsga2(Nsga2Spec {
+            population,
+            backend,
+            ..Default::default()
+        }),
+        seed,
+        stopping: StoppingSpec {
+            max_generations: generations,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+/// Runs `spec` over `problem` on an executor built from the spec's backend.
+fn run_spec<P: MultiObjectiveProblem>(spec: &RunSpec, problem: P) -> Vec<Individual> {
+    spec_driver(spec, problem, Executor::shared(spec.optimizer.backend())).run()
+}
+
 fn nsga2_front<P: MultiObjectiveProblem>(
     problem: &P,
     backend: EvalBackend,
     seed: u64,
 ) -> Vec<Individual> {
-    let config = Nsga2Config {
-        population_size: 32,
-        generations: 25,
-        backend,
-        ..Default::default()
-    };
-    Nsga2::new(config, seed).run(problem)
+    run_spec(&nsga2_spec(32, 25, backend, seed), problem)
 }
 
 #[test]
@@ -80,52 +96,42 @@ fn determinism_threads_match_serial_on_zdt1() {
 fn determinism_threads_match_serial_on_geobacter() {
     let model = GeobacterModel::builder().reactions(48).seed(5).build();
     let problem = GeobacterFluxProblem::new(&model).expect("small model is feasible");
-    let config = Nsga2Config {
-        population_size: 20,
-        generations: 10,
-        ..Default::default()
-    };
-    let serial = signature(
-        &Nsga2::new(
-            Nsga2Config {
-                backend: EvalBackend::Serial,
-                ..config
-            },
-            13,
-        )
-        .run(&problem),
-    );
+    let serial = signature(&run_spec(
+        &nsga2_spec(20, 10, EvalBackend::Serial, 13),
+        &problem,
+    ));
     for workers in [2, 4] {
-        let threaded = signature(
-            &Nsga2::new(
-                Nsga2Config {
-                    backend: EvalBackend::Threads(workers),
-                    ..config
-                },
-                13,
-            )
-            .run(&problem),
-        );
+        let threaded = signature(&run_spec(
+            &nsga2_spec(20, 10, EvalBackend::Threads(workers), 13),
+            &problem,
+        ));
         assert_eq!(threaded, serial, "Threads({workers}) diverged on Geobacter");
     }
 }
 
 #[test]
 fn determinism_archipelago_threads_match_serial() {
-    let archipelago_config = |backend| ArchipelagoConfig {
-        islands: 2,
-        island_config: Nsga2Config {
-            population_size: 24,
-            generations: 20,
-            backend,
+    let archipelago_spec = |backend| RunSpec {
+        optimizer: OptimizerSpec::Archipelago(ArchipelagoSpec {
+            islands: 2,
+            island: Nsga2Spec {
+                population: 24,
+                backend,
+                ..Default::default()
+            },
+            migration_interval: 5,
+            migration_probability: 0.5,
+            topology: MigrationTopology::Broadcast,
+        }),
+        seed: 9,
+        stopping: StoppingSpec {
+            max_generations: 20,
             ..Default::default()
         },
-        migration_interval: 5,
-        migration_probability: 0.5,
-        topology: MigrationTopology::Broadcast,
+        ..Default::default()
     };
-    let serial = Archipelago::new(archipelago_config(EvalBackend::Serial), 9).run(&Schaffer);
-    let threaded = Archipelago::new(archipelago_config(EvalBackend::Threads(2)), 9).run(&Schaffer);
+    let serial = run_spec(&archipelago_spec(EvalBackend::Serial), Schaffer);
+    let threaded = run_spec(&archipelago_spec(EvalBackend::Threads(2)), Schaffer);
     assert_eq!(signature(&threaded), signature(&serial));
 }
 
@@ -139,7 +145,6 @@ fn checkpoint_config(backend: EvalBackend) -> ArchipelagoConfig {
         islands: 2,
         island_config: Nsga2Config {
             population_size: 16,
-            generations: 0,
             backend,
             ..Default::default()
         },
@@ -293,16 +298,10 @@ fn determinism_pooled_executor_splits_reuse_one_pool() {
 #[test]
 fn determinism_pooled_executor_matches_serial_on_nsga2() {
     let problem = Zdt1 { variables: 8 };
-    let config = Nsga2Config {
-        population_size: 24,
-        generations: 15,
-        ..Default::default()
-    };
-    let serial = signature(&Nsga2::new(config, 41).run(&problem));
+    let spec = nsga2_spec(24, 15, EvalBackend::Serial, 41);
+    let serial = signature(&run_spec(&spec, problem));
     let pool = Executor::shared(EvalBackend::Threads(4));
-    let mut pooled = Nsga2::new(config, 41);
-    pooled.set_executor(pool);
-    assert_eq!(signature(&pooled.run(&problem)), serial);
+    assert_eq!(signature(&spec_driver(&spec, &problem, pool).run()), serial);
 }
 
 // --- batched-oracle determinism -----------------------------------------

@@ -3,13 +3,35 @@
 //! `pathway-core` API.
 
 use pathway_core::prelude::*;
+use pathway_moo::engine::{ArchipelagoSpec, Nsga2Spec};
+
+/// PMO2 (2 islands of 30, migration every 20 generations at probability
+/// 0.5) for 60 generations over `scenario`'s leaf, decoded for mining.
+fn outcome(scenario: Scenario, seed: u64) -> LeafDesignOutcome {
+    let spec = RunSpec {
+        optimizer: OptimizerSpec::Archipelago(ArchipelagoSpec {
+            island: Nsga2Spec {
+                population: 30,
+                ..Default::default()
+            },
+            migration_interval: 20,
+            ..Default::default()
+        }),
+        seed,
+        stopping: StoppingSpec {
+            max_generations: 60,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let problem = LeafRedesignProblem::new(scenario);
+    let mut driver = spec_driver(&spec, problem, Executor::shared(EvalBackend::Serial));
+    let front = driver.run();
+    LeafDesignOutcome::from_front(scenario, front, driver.optimizer().evaluations())
+}
 
 fn quick_outcome(seed: u64) -> LeafDesignOutcome {
-    LeafDesignStudy::new(Scenario::present_low_export())
-        .with_budget(30, 60)
-        .with_migration(20, 0.5)
-        .with_robustness_trials(200)
-        .run(seed)
+    outcome(Scenario::present_low_export(), seed)
 }
 
 #[test]
@@ -84,13 +106,10 @@ fn reported_figures_of_merit_are_reproducible_per_seed() {
 #[test]
 fn different_scenarios_produce_different_fronts() {
     let present = quick_outcome(5);
-    let future = LeafDesignStudy::new(Scenario::new(
-        CarbonDioxideEra::Future,
-        TriosePhosphateExport::Low,
-    ))
-    .with_budget(30, 60)
-    .with_migration(20, 0.5)
-    .run(5);
+    let future = outcome(
+        Scenario::new(CarbonDioxideEra::Future, TriosePhosphateExport::Low),
+        5,
+    );
     // Higher CO2 admits higher maximum uptake on the front.
     assert!(future.max_uptake().uptake > present.max_uptake().uptake * 0.9);
 }

@@ -3,10 +3,37 @@
 
 use pathway_core::prelude::*;
 use pathway_fba::{steady_state_violation, FluxPerturbation, FluxRepair};
-use pathway_moo::{Nsga2, Nsga2Config};
+use pathway_moo::engine::{ArchipelagoSpec, Nsga2Spec};
 
 fn small_model() -> GeobacterModel {
     GeobacterModel::builder().reactions(80).seed(11).build()
+}
+
+/// Runs `optimizer` serially over `problem` for `generations` generations
+/// from `seed`.
+fn run(
+    optimizer: OptimizerSpec,
+    generations: usize,
+    seed: u64,
+    problem: &GeobacterFluxProblem,
+) -> Vec<Individual> {
+    let spec = RunSpec {
+        optimizer,
+        seed,
+        stopping: StoppingSpec {
+            max_generations: generations,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    spec_driver(&spec, problem, Executor::shared(EvalBackend::Serial)).run()
+}
+
+fn nsga2(population: usize) -> OptimizerSpec {
+    OptimizerSpec::Nsga2(Nsga2Spec {
+        population,
+        ..Default::default()
+    })
 }
 
 #[test]
@@ -16,12 +43,7 @@ fn fba_extremes_bound_the_evolved_front() {
     let max_electron = model.max_electron().expect("electron FBA runs");
 
     let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
-    let config = Nsga2Config {
-        population_size: 40,
-        generations: 40,
-        ..Default::default()
-    };
-    let front = Nsga2::new(config, 5).run(&problem);
+    let front = run(nsga2(40), 40, 5, &problem);
     assert!(!front.is_empty());
     // Evolved solutions are allowed a bounded steady-state violation
     // (0.035 · radius · reactions), so they may overshoot the exact-FBA optima
@@ -39,12 +61,7 @@ fn evolved_solutions_respect_the_pinned_atp_maintenance_flux() {
     let model = small_model();
     let atp_index = model.atp_maintenance_reaction();
     let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
-    let config = Nsga2Config {
-        population_size: 30,
-        generations: 20,
-        ..Default::default()
-    };
-    let front = Nsga2::new(config, 9).run(&problem);
+    let front = run(nsga2(30), 20, 9, &problem);
     for individual in &front {
         assert!(
             (individual.variables[atp_index] - pathway_fba::geobacter::ATP_MAINTENANCE_FLUX).abs()
@@ -81,11 +98,22 @@ fn study_violation_reduction_mirrors_the_paper() {
     // The paper reports the evolved solution violating the steady-state
     // constraint ~26x less than the initial guess. At reduced scale we only
     // require a clear order-of-magnitude style improvement.
-    let outcome = GeobacterStudy::new()
-        .with_reactions(80)
-        .with_budget(40, 40)
-        .run(13)
-        .expect("study runs");
+    let seed = 13;
+    let model = GeobacterModel::builder()
+        .reactions(80)
+        .seed(seed ^ 0x6E0B)
+        .build();
+    let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
+    let pmo2 = OptimizerSpec::Archipelago(ArchipelagoSpec {
+        island: Nsga2Spec {
+            population: 40,
+            ..Default::default()
+        },
+        migration_interval: 20,
+        ..Default::default()
+    });
+    let front = run(pmo2, 40, seed, &problem);
+    let outcome = GeobacterOutcome::from_front(&problem, &front, seed).expect("study runs");
     assert!(outcome.initial_violation > 0.0);
     assert!(outcome.best_violation < outcome.initial_violation / 5.0);
     // The labelled A-E points are ordered by decreasing biomass production.
@@ -99,12 +127,7 @@ fn study_violation_reduction_mirrors_the_paper() {
 fn biomass_and_electron_objectives_genuinely_conflict() {
     let model = small_model();
     let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
-    let config = Nsga2Config {
-        population_size: 40,
-        generations: 40,
-        ..Default::default()
-    };
-    let front = Nsga2::new(config, 21).run(&problem);
+    let front = run(nsga2(40), 40, 21, &problem);
     let solutions: Vec<GeobacterSolution> = front
         .iter()
         .map(|individual| problem.decode(&individual.variables))

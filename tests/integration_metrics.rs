@@ -2,40 +2,61 @@
 //! PMO2-vs-MOEA/D comparison of the paper's Table 1 on a reduced budget.
 
 use pathway_core::prelude::*;
+use pathway_moo::engine::{ArchipelagoSpec, MoeadSpec, Nsga2Spec};
 use pathway_moo::metrics::{global_coverage, hypervolume, relative_coverage, spacing, union_front};
 
 fn objective_matrix(front: &[pathway_moo::Individual]) -> Vec<Vec<f64>> {
     front.iter().map(|i| i.objectives.clone()).collect()
 }
 
+/// Runs `optimizer` over `problem` for `generations` generations from `seed`.
+fn run(
+    optimizer: OptimizerSpec,
+    generations: usize,
+    seed: u64,
+    problem: &LeafRedesignProblem,
+) -> Vec<Individual> {
+    let spec = RunSpec {
+        optimizer,
+        seed,
+        stopping: StoppingSpec {
+            max_generations: generations,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    spec_driver(&spec, problem, Executor::shared(spec.optimizer.backend())).run()
+}
+
+/// Two NSGA-II islands of `population` with broadcast migration every
+/// `interval` generations at probability 0.5.
+fn archipelago(population: usize, interval: usize) -> OptimizerSpec {
+    OptimizerSpec::Archipelago(ArchipelagoSpec {
+        islands: 2,
+        island: nsga2_island(population),
+        migration_interval: interval,
+        migration_probability: 0.5,
+        topology: MigrationTopology::Broadcast,
+    })
+}
+
+fn nsga2_island(population: usize) -> Nsga2Spec {
+    Nsga2Spec {
+        population,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn table_1_style_comparison_runs_end_to_end() {
     let problem = LeafRedesignProblem::new(Scenario::present_high_export());
 
-    let pmo2_front = Archipelago::new(
-        ArchipelagoConfig {
-            islands: 2,
-            island_config: Nsga2Config {
-                population_size: 30,
-                generations: 40,
-                ..Default::default()
-            },
-            migration_interval: 20,
-            migration_probability: 0.5,
-            topology: MigrationTopology::Broadcast,
-        },
-        1,
-    )
-    .run(&problem);
-    let moead_front = Moead::new(
-        MoeadConfig {
-            population_size: 30,
-            generations: 40,
-            ..Default::default()
-        },
-        1,
-    )
-    .run(&problem);
+    let pmo2_front = run(archipelago(30, 20), 40, 1, &problem);
+    let moead = OptimizerSpec::Moead(MoeadSpec {
+        population: 30,
+        ..Default::default()
+    });
+    let moead_front = run(moead, 40, 1, &problem);
 
     let pmo2 = objective_matrix(&pmo2_front);
     let moead = objective_matrix(&moead_front);
@@ -68,30 +89,8 @@ fn pmo2_front_is_at_least_as_good_as_a_single_island_with_the_same_budget() {
     let problem = LeafRedesignProblem::new(Scenario::present_high_export());
     // Single NSGA-II with population 30 and 60 generations vs PMO2 with two
     // islands of 30 for 30 generations each: identical evaluation budgets.
-    let single = Nsga2::new(
-        Nsga2Config {
-            population_size: 30,
-            generations: 60,
-            ..Default::default()
-        },
-        3,
-    )
-    .run(&problem);
-    let pmo2 = Archipelago::new(
-        ArchipelagoConfig {
-            islands: 2,
-            island_config: Nsga2Config {
-                population_size: 30,
-                generations: 30,
-                ..Default::default()
-            },
-            migration_interval: 10,
-            migration_probability: 0.5,
-            topology: MigrationTopology::Broadcast,
-        },
-        3,
-    )
-    .run(&problem);
+    let single = run(OptimizerSpec::Nsga2(nsga2_island(30)), 60, 3, &problem);
+    let pmo2 = run(archipelago(30, 10), 30, 3, &problem);
 
     let reference = [1.0, 2.0 * EnzymePartition::NATURAL_NITROGEN];
     let hv_single = hypervolume(&objective_matrix(&single), &reference);
@@ -107,15 +106,7 @@ fn pmo2_front_is_at_least_as_good_as_a_single_island_with_the_same_budget() {
 #[test]
 fn spacing_of_an_evolved_front_is_finite_and_positive() {
     let problem = LeafRedesignProblem::new(Scenario::present_low_export());
-    let front = Nsga2::new(
-        Nsga2Config {
-            population_size: 30,
-            generations: 30,
-            ..Default::default()
-        },
-        4,
-    )
-    .run(&problem);
+    let front = run(OptimizerSpec::Nsga2(nsga2_island(30)), 30, 4, &problem);
     let matrix = objective_matrix(&front);
     let s = spacing(&matrix);
     assert!(s.is_finite());
