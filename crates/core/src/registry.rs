@@ -132,6 +132,28 @@ impl AnyProblem {
     ///
     /// [`SpecError::Field`] for unknown names, unknown parameters, unusable
     /// parameter values, and model-construction failures.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pathway_core::prelude::*;
+    ///
+    /// let spec = RunSpec::from_text("\
+    /// pathway-spec v1
+    /// [problem]
+    /// name = schaffer
+    /// [optimizer]
+    /// kind = archipelago
+    /// population = 16
+    /// migration_interval = 5
+    /// [stop]
+    /// max_generations = 10
+    /// ").unwrap();
+    /// let problem = AnyProblem::from_spec(&spec.problem).unwrap();
+    /// let executor = Executor::shared(spec.optimizer.backend());
+    /// let front = spec_driver(&spec, &problem, executor).run();
+    /// assert!(!front.is_empty());
+    /// ```
     pub fn from_spec(spec: &ProblemSpec) -> Result<Self, SpecError> {
         let info = PROBLEM_CATALOG
             .iter()

@@ -58,3 +58,78 @@ pub enum EvalBackend {
     /// thread-spawn cost and nothing else.
     Threads(usize),
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::Executor;
+    use crate::problems::{BinhKorn, Schaffer};
+    use crate::MultiObjectiveProblem;
+
+    fn candidates(n: usize) -> Vec<Vec<f64>> {
+        (0..n).map(|i| vec![-5.0 + i as f64 * 0.37]).collect()
+    }
+
+    #[test]
+    fn serial_matches_itemwise_evaluation() {
+        let xs = candidates(7);
+        let batch = Executor::new(EvalBackend::Serial).evaluate_batch(&Schaffer, &xs);
+        for (x, (objectives, violation)) in xs.iter().zip(&batch) {
+            assert_eq!(objectives, &Schaffer.evaluate(x));
+            assert_eq!(*violation, Schaffer.constraint_violation(x));
+        }
+    }
+
+    #[test]
+    fn threads_match_serial_for_every_worker_count() {
+        let xs = candidates(13);
+        let serial = Executor::new(EvalBackend::Serial).evaluate_batch(&Schaffer, &xs);
+        for n in [1, 2, 3, 4, 8, 32] {
+            assert_eq!(
+                Executor::new(EvalBackend::Threads(n)).evaluate_batch(&Schaffer, &xs),
+                serial
+            );
+        }
+    }
+
+    #[test]
+    fn constraint_violations_survive_the_threaded_path() {
+        let xs: Vec<Vec<f64>> = (0..9)
+            .map(|i| vec![i as f64 * 0.6, 3.0 - i as f64 * 0.3])
+            .collect();
+        let serial = Executor::new(EvalBackend::Serial).evaluate_batch(&BinhKorn, &xs);
+        let threaded = Executor::new(EvalBackend::Threads(3)).evaluate_batch(&BinhKorn, &xs);
+        assert_eq!(serial, threaded);
+        assert!(
+            serial.iter().any(|(_, v)| *v > 0.0),
+            "some candidate is infeasible"
+        );
+    }
+
+    #[test]
+    fn degenerate_worker_counts_are_clamped() {
+        assert_eq!(Executor::new(EvalBackend::Threads(0)).workers(), 1);
+        assert_eq!(Executor::new(EvalBackend::Serial).workers(), 1);
+        let xs = candidates(3);
+        assert_eq!(
+            Executor::new(EvalBackend::Threads(16)).evaluate_batch(&Schaffer, &xs),
+            Executor::new(EvalBackend::Serial).evaluate_batch(&Schaffer, &xs)
+        );
+        let empty: Vec<Vec<f64>> = Vec::new();
+        assert!(Executor::new(EvalBackend::Threads(4))
+            .evaluate_batch(&Schaffer, &empty)
+            .is_empty());
+    }
+
+    #[test]
+    fn evaluate_individuals_preserves_order_and_variables() {
+        let xs = candidates(6);
+        let individuals =
+            Executor::new(EvalBackend::Threads(2)).evaluate_individuals(&Schaffer, xs.clone());
+        assert_eq!(individuals.len(), xs.len());
+        for (individual, x) in individuals.iter().zip(&xs) {
+            assert_eq!(&individual.variables, x);
+            assert_eq!(individual.objectives, Schaffer.evaluate(x));
+        }
+    }
+}

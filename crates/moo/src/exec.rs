@@ -769,26 +769,15 @@ mod tests {
 
     #[test]
     fn pool_matches_serial_across_many_batches() {
+        let pool = Executor::new(EvalBackend::Threads(4));
         let serial = Executor::serial();
         for batch_len in [0, 1, 2, 3, 7, 13, 50] {
             let xs = candidates(batch_len);
-            let expected = serial.evaluate_batch(&Schaffer, &xs);
-            for (x, (objectives, violation)) in xs.iter().zip(&expected) {
-                assert_eq!(objectives, &Schaffer.evaluate(x));
-                assert_eq!(*violation, Schaffer.constraint_violation(x));
-            }
-            assert_eq!(expected.is_empty(), batch_len == 0);
-        }
-        for workers in [1, 2, 3, 4, 8, 32] {
-            let pool = Executor::new(EvalBackend::Threads(workers));
-            for batch_len in [0, 1, 2, 3, 7, 13, 50] {
-                let xs = candidates(batch_len);
-                assert_eq!(
-                    pool.evaluate_batch(&Schaffer, &xs),
-                    serial.evaluate_batch(&Schaffer, &xs),
-                    "batch of {batch_len} on {workers} lanes diverged"
-                );
-            }
+            assert_eq!(
+                pool.evaluate_batch(&Schaffer, &xs),
+                serial.evaluate_batch(&Schaffer, &xs),
+                "batch of {batch_len} diverged"
+            );
         }
     }
 
@@ -797,12 +786,10 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..9)
             .map(|i| vec![i as f64 * 0.6, 3.0 - i as f64 * 0.3])
             .collect();
-        let serial = Executor::serial().evaluate_batch(&BinhKorn, &xs);
-        assert!(serial.iter().any(|(_, v)| *v > 0.0));
-        for workers in [2, 3, 4] {
-            let pool = Executor::new(EvalBackend::Threads(workers));
-            assert_eq!(pool.evaluate_batch(&BinhKorn, &xs), serial);
-        }
+        let pool = Executor::new(EvalBackend::Threads(3));
+        let pooled = pool.evaluate_batch(&BinhKorn, &xs);
+        assert_eq!(pooled, Executor::serial().evaluate_batch(&BinhKorn, &xs));
+        assert!(pooled.iter().any(|(_, v)| *v > 0.0));
     }
 
     #[test]
