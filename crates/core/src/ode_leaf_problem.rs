@@ -291,6 +291,8 @@ pub struct OdeLeafRedesignProblem {
     warm_starts: AtomicU64,
     /// Integrations that spooled up from the cold-start state.
     cold_starts: AtomicU64,
+    /// Integrations that did not settle, scored as zero uptake.
+    failures: AtomicU64,
 }
 
 impl OdeLeafRedesignProblem {
@@ -298,9 +300,7 @@ impl OdeLeafRedesignProblem {
     /// (0.02×–4× the natural capacities, matching
     /// [`crate::LeafRedesignProblem`]) and the coarse
     /// [`OdeUptakeEvaluator::fast`] integrator — the right trade-off inside
-    /// an optimization loop; use
-    /// [`OdeLeafRedesignProblem::with_evaluator`] for publication-grade
-    /// tolerances.
+    /// an optimization loop.
     pub fn new(scenario: Scenario) -> Self {
         OdeLeafRedesignProblem {
             scenario,
@@ -309,13 +309,16 @@ impl OdeLeafRedesignProblem {
             pool: RwLock::new(WarmStartPool::default()),
             warm_starts: AtomicU64::new(0),
             cold_starts: AtomicU64::new(0),
+            failures: AtomicU64::new(0),
         }
     }
 
-    /// Dumps the cumulative warm-start counters into `registry` as
-    /// `oracle.ode.warm_starts` and `oracle.ode.cold_starts`. Call once
-    /// when an invocation finishes; the hit rate (`warm / (warm + cold)`)
-    /// is the amortization the module docs describe.
+    /// Dumps the cumulative oracle counters into `registry`:
+    /// `oracle.ode.warm_starts` and `oracle.ode.cold_starts` (the hit rate
+    /// `warm / (warm + cold)` is the amortization the module docs
+    /// describe), and `oracle.ode.failures`, the integrations that did not
+    /// settle and were scored as zero uptake. Call once when an invocation
+    /// finishes.
     pub fn record_oracle_metrics(&self, registry: &MetricsRegistry) {
         registry.add(
             "oracle.ode.warm_starts",
@@ -325,13 +328,10 @@ impl OdeLeafRedesignProblem {
             "oracle.ode.cold_starts",
             self.cold_starts.load(AtomicOrdering::Relaxed),
         );
-    }
-
-    /// Overrides the steady-state evaluator (tolerances, horizon, step).
-    #[must_use]
-    pub fn with_evaluator(mut self, evaluator: OdeUptakeEvaluator) -> Self {
-        self.evaluator = evaluator;
-        self
+        registry.add(
+            "oracle.ode.failures",
+            self.failures.load(AtomicOrdering::Relaxed),
+        );
     }
 
     /// Overrides the search box as multiples of the natural capacities.
@@ -399,8 +399,11 @@ impl OdeLeafRedesignProblem {
             Ok((steady, uptake)) => (vec![-uptake, nitrogen], Some(steady.state)),
             // A pathway that never settles fixes no carbon worth reporting;
             // score it as zero uptake instead of poisoning the front with
-            // non-finite objectives.
-            Err(_) => (vec![0.0, nitrogen], None),
+            // non-finite objectives, and count it.
+            Err(_) => {
+                self.failures.fetch_add(1, AtomicOrdering::Relaxed);
+                (vec![0.0, nitrogen], None)
+            }
         }
     }
 }
@@ -495,8 +498,8 @@ mod tests {
     use pathway_moo::EvalBackend;
 
     fn small_batch() -> Vec<Vec<f64>> {
-        // All three designs settle under the fast integrator (down-scaled
-        // partitions relax too slowly for its 800 s horizon).
+        // All three designs settle under the fast integrator (a leaf with
+        // every capacity doubled does not: its first Newton step diverges).
         let natural = EnzymePartition::natural();
         vec![
             natural.capacities().to_vec(),
@@ -601,6 +604,31 @@ mod tests {
             snapshot.counter("oracle.ode.warm_starts"),
             Some(xs.len() as u64)
         );
+    }
+
+    #[test]
+    fn oracle_counters_count_the_designs_that_do_not_settle() {
+        let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
+        // A leaf with every capacity doubled fails its first step with
+        // `OdeError::NewtonDivergence`.
+        let mut xs = small_batch();
+        xs.push(EnzymePartition::natural().scaled(2.0).capacities().to_vec());
+        problem.prepare_batch(&xs);
+        let results = problem.evaluate_batch(&xs);
+        let registry = MetricsRegistry::new();
+        problem.record_oracle_metrics(&registry);
+        let failures = registry
+            .snapshot()
+            .counter("oracle.ode.failures")
+            .expect("the failure counter is recorded");
+        // An unsettled design scores exactly +0.0 uptake; a settled one
+        // scores its negated uptake.
+        let zero_uptake = results
+            .iter()
+            .filter(|(objectives, _)| objectives[0].to_bits() == 0.0f64.to_bits())
+            .count();
+        assert!(failures > 0);
+        assert_eq!(failures, zero_uptake as u64);
     }
 
     #[test]

@@ -1,18 +1,5 @@
 use std::fmt;
 
-/// Stable identifier of an enzyme within a model.
-///
-/// Models assign indices in their own enzyme tables; the newtype keeps those
-/// indices from being confused with metabolite or reaction indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EnzymeId(pub usize);
-
-impl fmt::Display for EnzymeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "enzyme#{}", self.0)
-    }
-}
-
 /// Kinetic constants of an enzyme-catalysed reaction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KineticConstants {
@@ -38,11 +25,6 @@ impl KineticConstants {
     /// in mmol/l; the result is in mmol/(l·s).
     pub fn vmax(&self, enzyme_concentration: f64) -> f64 {
         self.k_cat * enzyme_concentration
-    }
-
-    /// Catalytic efficiency `k_cat / K_m`.
-    pub fn efficiency(&self) -> f64 {
-        self.k_cat / self.k_m
     }
 }
 
@@ -166,7 +148,8 @@ mod tests {
     fn kinetic_constants_accessors() {
         let k = KineticConstants::new(10.0, 0.5);
         assert_eq!(k.vmax(2.0), 20.0);
-        assert_eq!(k.efficiency(), 20.0);
+        assert_eq!(k.k_cat, 10.0);
+        assert_eq!(k.k_m, 0.5);
     }
 
     #[test]
@@ -216,7 +199,6 @@ mod tests {
         let s = format!("{e}");
         assert!(s.contains("PRK"));
         assert!(s.contains("90000"));
-        assert_eq!(format!("{}", EnzymeId(3)), "enzyme#3");
     }
 
     proptest! {

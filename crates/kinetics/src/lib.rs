@@ -5,12 +5,10 @@
 //!
 //! * [`Enzyme`] — a catalytic protein with a turnover number, Michaelis
 //!   constant and molecular weight.
-//! * [`rate_laws`] — Michaelis–Menten rate laws with inhibition and
-//!   activation, plus simple mass-action kinetics for equilibrium pools.
+//! * [`rate_laws`] — Michaelis–Menten rate laws: single- and two-substrate,
+//!   and with a competitive inhibitor.
 //! * [`nitrogen`] — the protein-nitrogen cost of an enzyme partition, the
 //!   second objective of the paper's leaf-redesign problem.
-//! * [`ReactionNetwork`] — a small builder for metabolite/reaction networks
-//!   used to sanity-check stoichiometric consistency.
 //!
 //! # Example
 //!
@@ -26,9 +24,7 @@
 #![warn(clippy::all)]
 
 mod enzyme;
-mod network;
 pub mod nitrogen;
 pub mod rate_laws;
 
-pub use enzyme::{Enzyme, EnzymeId, KineticConstants};
-pub use network::{Metabolite, Reaction, ReactionNetwork};
+pub use enzyme::{Enzyme, KineticConstants};

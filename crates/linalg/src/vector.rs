@@ -129,7 +129,7 @@ impl Vector {
         out
     }
 
-    /// `self + factor * other`, the fused update used by Runge-Kutta stages.
+    /// `self + factor * other`, returned as a new vector.
     ///
     /// # Errors
     ///

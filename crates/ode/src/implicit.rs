@@ -1,7 +1,14 @@
 use pathway_linalg::{LuDecomposition, Matrix, Vector};
 
 use crate::system::validate_inputs;
-use crate::{IntegrationResult, IntegrationStats, Integrator, OdeError, OdeSystem};
+use crate::{IntegrationResult, IntegrationStats, OdeError, OdeSystem};
+
+/// Newton convergence tolerance, relative to `1 + |y|`.
+const NEWTON_TOLERANCE: f64 = 1e-10;
+/// Newton iterations allowed per step before the step fails.
+const MAX_NEWTON_ITERATIONS: usize = 25;
+/// Relative perturbation of the finite-difference Jacobian.
+const JACOBIAN_EPSILON: f64 = 1e-7;
 
 /// A backward-Euler integrator with a damped Newton corrector.
 ///
@@ -23,7 +30,7 @@ use crate::{IntegrationResult, IntegrationStats, Integrator, OdeError, OdeSystem
 /// # Example
 ///
 /// ```
-/// use pathway_ode::{OdeSystem, BackwardEuler, Integrator};
+/// use pathway_ode::{OdeSystem, BackwardEuler};
 /// use pathway_linalg::Vector;
 ///
 /// /// A stiff decay: dy/dt = -1000 (y - cos(t)).
@@ -46,14 +53,12 @@ use crate::{IntegrationResult, IntegrationStats, Integrator, OdeError, OdeSystem
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackwardEuler {
     step: f64,
-    newton_tol: f64,
-    max_newton_iterations: usize,
-    jacobian_epsilon: f64,
 }
 
 impl BackwardEuler {
-    /// Creates a solver with the given step size and default Newton settings
-    /// (tolerance `1e-10`, at most 25 iterations per step).
+    /// Creates a solver with the given step size. The Newton corrector
+    /// converges to a residual of `1e-10 · (1 + |y|)` within at most 25
+    /// iterations per step.
     ///
     /// # Panics
     ///
@@ -63,26 +68,7 @@ impl BackwardEuler {
             step.is_finite() && step > 0.0,
             "step size must be positive and finite"
         );
-        BackwardEuler {
-            step,
-            newton_tol: 1e-10,
-            max_newton_iterations: 25,
-            jacobian_epsilon: 1e-7,
-        }
-    }
-
-    /// Overrides the Newton convergence tolerance.
-    #[must_use]
-    pub fn with_newton_tolerance(mut self, tol: f64) -> Self {
-        self.newton_tol = tol;
-        self
-    }
-
-    /// Overrides the maximum number of Newton iterations per step.
-    #[must_use]
-    pub fn with_max_newton_iterations(mut self, iterations: usize) -> Self {
-        self.max_newton_iterations = iterations;
-        self
+        BackwardEuler { step }
     }
 
     /// The configured step size.
@@ -104,7 +90,7 @@ impl BackwardEuler {
         let dim = system.dim();
         ws.perturbed.as_mut_slice().copy_from_slice(y.as_slice());
         for j in 0..dim {
-            let h = self.jacobian_epsilon * (1.0 + y[j].abs());
+            let h = JACOBIAN_EPSILON * (1.0 + y[j].abs());
             ws.perturbed[j] = y[j] + h;
             system.rhs(t, &ws.perturbed, &mut ws.f1);
             stats.rhs_evaluations += 1;
@@ -147,8 +133,22 @@ impl NewtonWorkspace {
     }
 }
 
-impl Integrator for BackwardEuler {
-    fn integrate<S: OdeSystem>(
+impl BackwardEuler {
+    /// Integrates `system` from `t0` with initial state `y0` until `t_end`.
+    /// The last step is shortened so the span ends exactly at `t_end`, and
+    /// [`OdeSystem::project`] is applied after every step.
+    ///
+    /// # Errors
+    ///
+    /// * [`OdeError::DimensionMismatch`] if `y0.len() != system.dim()`.
+    /// * [`OdeError::InvalidParameter`] if the span is not finite or runs
+    ///   backwards.
+    /// * [`OdeError::NewtonDivergence`] if a step's corrector does not
+    ///   converge within its iteration budget, its Newton matrix is
+    ///   singular, or its update cannot be damped to a finite state.
+    /// * [`OdeError::NonFiniteState`] if `y0` or a converged step is not
+    ///   finite.
+    pub fn integrate<S: OdeSystem>(
         &self,
         system: &S,
         t0: f64,
@@ -177,7 +177,7 @@ impl Integrator for BackwardEuler {
                 .expect("dimensions match by construction");
 
             let mut converged = false;
-            for iteration in 0..self.max_newton_iterations {
+            for iteration in 0..MAX_NEWTON_ITERATIONS {
                 system.rhs(t_new, &y_new, &mut f);
                 stats.rhs_evaluations += 1;
                 stats.newton_iterations += 1;
@@ -186,7 +186,12 @@ impl Integrator for BackwardEuler {
                 for i in 0..dim {
                     ws.residual[i] = y_new[i] - y[i] - h * f[i];
                 }
-                if ws.residual.norm_inf() <= self.newton_tol * (1.0 + y_new.norm_inf()) {
+                if ws.residual.norm_inf() <= NEWTON_TOLERANCE * (1.0 + y_new.norm_inf()) {
+                    // `norm_inf` skips NaN, so a NaN derivative would
+                    // otherwise pass for convergence at a finite iterate.
+                    if !ws.residual.is_finite() {
+                        return Err(OdeError::NonFiniteState { time: t_new });
+                    }
                     converged = true;
                     break;
                 }
@@ -272,7 +277,8 @@ impl Integrator for BackwardEuler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::test_systems::{Decay, StiffLinear};
+    use crate::system::test_systems::{Decay, Logistic, StiffLinear};
+    use crate::{SteadyStateDriver, SteadyStateOptions};
 
     #[test]
     fn decay_converges_to_analytic_solution_with_small_steps() {
@@ -302,16 +308,138 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_are_applied() {
-        let solver = BackwardEuler::new(0.1)
-            .with_newton_tolerance(1e-6)
-            .with_max_newton_iterations(3);
-        assert_eq!(solver.step(), 0.1);
-        // Still solves an easy problem with the reduced iteration budget.
-        let result = solver
-            .integrate(&Decay { k: 1.0 }, 0.0, Vector::from(vec![1.0]), 0.5)
+    fn final_time_is_hit_exactly_even_with_non_divisible_step() {
+        let result = BackwardEuler::new(0.3)
+            .integrate(&Decay { k: 1.0 }, 0.0, Vector::from(vec![1.0]), 1.0)
             .unwrap();
-        assert!(result.state[0] > 0.0);
+        assert_eq!(result.time, 1.0);
+        // Three full steps and a closing step of 0.1, each dividing the
+        // state by 1 + h.
+        assert_eq!(result.stats.steps_accepted, 4);
+        let expected = 1.0 / (1.3f64.powi(3) * 1.1);
+        assert!((result.state[0] - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_length_span_returns_initial_state() {
+        let y0 = Vector::from(vec![3.0]);
+        let result = BackwardEuler::new(0.1)
+            .integrate(&Decay { k: 1.0 }, 2.0, y0.clone(), 2.0)
+            .unwrap();
+        assert_eq!(result.state, y0);
+        assert_eq!(result.stats.steps_accepted, 0);
+    }
+
+    #[test]
+    fn projection_is_applied_after_each_step() {
+        let result = BackwardEuler::new(0.5)
+            .integrate(&Logistic { r: 10.0 }, 0.0, Vector::from(vec![0.5]), 5.0)
+            .unwrap();
+        assert!(result.state[0] <= 1.0 && result.state[0] >= 0.0);
+        // From above the carrying capacity backward Euler approaches 1 from
+        // above (the first step lands at (sqrt(13) - 1) / 2); only the
+        // projection brings the state down onto it.
+        let result = BackwardEuler::new(0.05)
+            .integrate(&Logistic { r: 10.0 }, 0.0, Vector::from(vec![1.5]), 5.0)
+            .unwrap();
+        assert_eq!(result.state[0], 1.0);
+    }
+
+    #[test]
+    fn stats_count_rhs_evaluations() {
+        let result = BackwardEuler::new(0.1)
+            .integrate(&Decay { k: 1.0 }, 0.0, Vector::from(vec![1.0]), 1.0)
+            .unwrap();
+        let stats = result.stats;
+        // 10 full steps, plus possibly one tiny closing step caused by
+        // floating-point accumulation of 0.1.
+        assert!(stats.steps_accepted >= 10 && stats.steps_accepted <= 11);
+        // Every Newton iteration but the converging last one of each step
+        // builds a Jacobian.
+        assert_eq!(
+            stats.jacobian_evaluations,
+            stats.newton_iterations - stats.steps_accepted
+        );
+        // One predictor call per step, one call per Newton iteration, and
+        // one call per state component per Jacobian.
+        assert_eq!(
+            stats.rhs_evaluations,
+            stats.steps_accepted + stats.newton_iterations + stats.jacobian_evaluations
+        );
+    }
+
+    /// A relay: `dy/dt = -1` above zero and `+1` at or below it. Away from
+    /// the switch the finite-difference Jacobian is zero, so each Newton
+    /// update sets `y_new = y + h f(y_new)`, which flips sign on every
+    /// iteration and never settles.
+    struct Relay;
+
+    impl OdeSystem for Relay {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn rhs(&self, _t: f64, y: &Vector, dydt: &mut Vector) {
+            dydt[0] = if y[0] > 0.0 { -1.0 } else { 1.0 };
+        }
+    }
+
+    #[test]
+    fn newton_divergence_is_reported_by_integrate_and_the_driver() {
+        let solver = BackwardEuler::new(0.1);
+        let diverged = OdeError::NewtonDivergence {
+            time: 0.1,
+            iterations: MAX_NEWTON_ITERATIONS,
+        };
+        let err = solver
+            .integrate(&Relay, 0.0, Vector::from(vec![0.05]), 1.0)
+            .unwrap_err();
+        assert_eq!(err, diverged);
+        let err = SteadyStateDriver::new(solver, SteadyStateOptions::default())
+            .run(&Relay, Vector::from(vec![0.05]))
+            .unwrap_err();
+        assert_eq!(err, diverged);
+    }
+
+    /// `dy/dt = -y`, except NaN wherever the predicate on `(t, y)` holds.
+    struct NanWhere(fn(f64, f64) -> bool);
+
+    impl OdeSystem for NanWhere {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn rhs(&self, t: f64, y: &Vector, dydt: &mut Vector) {
+            dydt[0] = if (self.0)(t, y[0]) { f64::NAN } else { -y[0] };
+        }
+    }
+
+    #[test]
+    fn nan_rhs_is_an_error_never_a_panic_or_a_non_finite_state() {
+        let solver = BackwardEuler::new(0.1);
+        let cases = [
+            // NaN everywhere: the predictor itself is NaN.
+            (NanWhere(|_, _| true), 1.0),
+            // NaN once time passes 0.25: the third step fails.
+            (NanWhere(|t, _| t > 0.25), 1.0),
+            // One step whose predictor is finite but whose Newton residual
+            // is NaN while the iterate stays finite.
+            (NanWhere(|t, _| t > 0.05), 0.1),
+        ];
+        for (system, t_end) in &cases {
+            let err = solver
+                .integrate(system, 0.0, Vector::from(vec![1.0]), *t_end)
+                .unwrap_err();
+            assert!(
+                matches!(err, OdeError::NonFiniteState { .. }),
+                "unexpected {err:?}"
+            );
+            let err = SteadyStateDriver::new(solver, SteadyStateOptions::default())
+                .run(system, Vector::from(vec![1.0]))
+                .unwrap_err();
+            assert!(
+                matches!(err, OdeError::NonFiniteState { .. }),
+                "unexpected {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,23 +1,20 @@
-//! Ordinary differential equation solvers for metabolic pathway simulation.
+//! Ordinary differential equation solver for metabolic pathway simulation.
 //!
 //! The C3 photosynthesis model in `pathway-photosynthesis` is a set of coupled,
 //! moderately stiff ODEs that must be integrated to steady state before its
 //! CO₂ uptake rate can be read off. The Rust ODE ecosystem is thin, so this
-//! crate hand-rolls the integrators the workspace needs:
+//! crate hand-rolls the one integrator the workspace needs:
 //!
-//! * [`Rk4`] — fixed-step classical Runge–Kutta, the workhorse for smooth
-//!   systems with a known safe step size.
-//! * [`Rkf45`] — adaptive Runge–Kutta–Fehlberg 4(5) with step-size control.
-//! * [`CashKarp`] — adaptive Cash–Karp 4(5), an alternative embedded pair.
 //! * [`BackwardEuler`] — a semi-implicit first-order method with a damped
-//!   Newton corrector and finite-difference Jacobian, for stiff regions.
+//!   Newton corrector and finite-difference Jacobian, stable on stiff
+//!   kinetics at large steps.
 //! * [`SteadyStateDriver`] — repeatedly integrates until the state stops
 //!   changing, which is how uptake rates are evaluated.
 //!
 //! # Example
 //!
 //! ```
-//! use pathway_ode::{OdeSystem, Rk4, Integrator};
+//! use pathway_ode::{BackwardEuler, OdeSystem};
 //! use pathway_linalg::Vector;
 //!
 //! /// Exponential decay dy/dt = -y.
@@ -30,9 +27,10 @@
 //! }
 //!
 //! # fn main() -> Result<(), pathway_ode::OdeError> {
-//! let solver = Rk4::new(1e-3);
+//! let solver = BackwardEuler::new(1e-3);
 //! let result = solver.integrate(&Decay, 0.0, Vector::from(vec![1.0]), 1.0)?;
-//! assert!((result.state[0] - (-1.0f64).exp()).abs() < 1e-6);
+//! // First order: the error shrinks in proportion to the step.
+//! assert!((result.state[0] - (-1.0f64).exp()).abs() < 1e-3);
 //! # Ok(())
 //! # }
 //! ```
@@ -42,31 +40,15 @@
 
 mod error;
 mod implicit;
-mod rk4;
-mod rkf45;
 mod stats;
 mod steady_state;
 mod system;
 
 pub use error::OdeError;
 pub use implicit::BackwardEuler;
-pub use rk4::Rk4;
-pub use rkf45::{AdaptiveOptions, CashKarp, Rkf45};
 pub use stats::IntegrationStats;
 pub use steady_state::{SteadyState, SteadyStateDriver, SteadyStateOptions};
-pub use system::{IntegrationResult, Integrator, OdeSystem};
+pub use system::{IntegrationResult, OdeSystem};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, OdeError>;
-
-/// `true` when `x` is strictly positive; false for NaN, so option validation
-/// rejects NaN inputs.
-pub(crate) fn is_strictly_positive(x: f64) -> bool {
-    x > 0.0
-}
-
-/// `true` when `a >= b`; false when either side is NaN, so option validation
-/// rejects NaN inputs.
-pub(crate) fn is_at_least(a: f64, b: f64) -> bool {
-    a >= b
-}

@@ -1,19 +1,17 @@
 /// Counters accumulated while integrating an ODE system.
 ///
-/// These are useful both for diagnosing solver behaviour (how many steps were
-/// rejected by the adaptive controller?) and for the benchmark harness, which
-/// reports right-hand-side evaluation counts per steady-state evaluation.
+/// They show how much work a solve took (steps, right-hand-side and
+/// Jacobian evaluations, Newton iterations); the benchmark harness reports
+/// them per steady-state evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IntegrationStats {
     /// Number of accepted steps.
     pub steps_accepted: usize,
-    /// Number of rejected (retried) steps.
-    pub steps_rejected: usize,
     /// Number of right-hand-side evaluations.
     pub rhs_evaluations: usize,
-    /// Number of Jacobian evaluations (implicit solvers only).
+    /// Number of Jacobian evaluations.
     pub jacobian_evaluations: usize,
-    /// Number of Newton iterations (implicit solvers only).
+    /// Number of Newton iterations.
     pub newton_iterations: usize,
 }
 
@@ -23,26 +21,16 @@ impl IntegrationStats {
         Self::default()
     }
 
-    /// Total number of attempted steps (accepted + rejected).
+    /// Total number of attempted steps. A step either succeeds or fails
+    /// the whole integration, so this equals
+    /// [`IntegrationStats::steps_accepted`].
     pub fn steps_attempted(&self) -> usize {
-        self.steps_accepted + self.steps_rejected
-    }
-
-    /// Fraction of attempted steps that were accepted, or 1.0 if no steps were
-    /// attempted.
-    pub fn acceptance_rate(&self) -> f64 {
-        let attempted = self.steps_attempted();
-        if attempted == 0 {
-            1.0
-        } else {
-            self.steps_accepted as f64 / attempted as f64
-        }
+        self.steps_accepted
     }
 
     /// Merges counters from another record into this one.
     pub fn merge(&mut self, other: &IntegrationStats) {
         self.steps_accepted += other.steps_accepted;
-        self.steps_rejected += other.steps_rejected;
         self.rhs_evaluations += other.rhs_evaluations;
         self.jacobian_evaluations += other.jacobian_evaluations;
         self.newton_iterations += other.newton_iterations;
@@ -54,26 +42,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn acceptance_rate_handles_zero_steps() {
-        assert_eq!(IntegrationStats::new().acceptance_rate(), 1.0);
-    }
-
-    #[test]
-    fn acceptance_rate_counts_rejections() {
-        let stats = IntegrationStats {
-            steps_accepted: 3,
-            steps_rejected: 1,
-            ..Default::default()
-        };
-        assert_eq!(stats.steps_attempted(), 4);
-        assert!((stats.acceptance_rate() - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
     fn merge_adds_all_fields() {
         let mut a = IntegrationStats {
             steps_accepted: 1,
-            steps_rejected: 2,
             rhs_evaluations: 3,
             jacobian_evaluations: 4,
             newton_iterations: 5,
@@ -81,7 +52,7 @@ mod tests {
         let b = a;
         a.merge(&b);
         assert_eq!(a.steps_accepted, 2);
-        assert_eq!(a.steps_rejected, 4);
+        assert_eq!(a.steps_attempted(), 2);
         assert_eq!(a.rhs_evaluations, 6);
         assert_eq!(a.jacobian_evaluations, 8);
         assert_eq!(a.newton_iterations, 10);

@@ -1,6 +1,6 @@
 use pathway_linalg::Vector;
 
-use crate::{IntegrationStats, Integrator, OdeError, OdeSystem};
+use crate::{BackwardEuler, IntegrationStats, OdeError, OdeSystem};
 
 /// Options for the steady-state driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,7 +49,7 @@ pub struct SteadyState {
 /// # Example
 ///
 /// ```
-/// use pathway_ode::{OdeSystem, Rk4, SteadyStateDriver, SteadyStateOptions};
+/// use pathway_ode::{BackwardEuler, OdeSystem, SteadyStateDriver, SteadyStateOptions};
 /// use pathway_linalg::Vector;
 ///
 /// /// Relaxation towards y = 3.
@@ -60,21 +60,21 @@ pub struct SteadyState {
 /// }
 ///
 /// # fn main() -> Result<(), pathway_ode::OdeError> {
-/// let driver = SteadyStateDriver::new(Rk4::new(0.01), SteadyStateOptions::default());
+/// let driver = SteadyStateDriver::new(BackwardEuler::new(0.1), SteadyStateOptions::default());
 /// let steady = driver.run(&Relax, Vector::from(vec![0.0]))?;
 /// assert!((steady.state[0] - 3.0).abs() < 1e-4);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct SteadyStateDriver<I> {
-    integrator: I,
+pub struct SteadyStateDriver {
+    integrator: BackwardEuler,
     options: SteadyStateOptions,
 }
 
-impl<I: Integrator> SteadyStateDriver<I> {
+impl SteadyStateDriver {
     /// Creates a driver around an integrator.
-    pub fn new(integrator: I, options: SteadyStateOptions) -> Self {
+    pub fn new(integrator: BackwardEuler, options: SteadyStateOptions) -> Self {
         SteadyStateDriver {
             integrator,
             options,
@@ -92,14 +92,14 @@ impl<I: Integrator> SteadyStateDriver<I> {
     ///
     /// * [`OdeError::InvalidParameter`] if the options are inconsistent.
     /// * [`OdeError::SteadyStateNotReached`] if `max_time` is exhausted.
-    /// * Any error produced by the underlying integrator.
+    /// * Any error of [`BackwardEuler::integrate`].
     pub fn run<S: OdeSystem>(&self, system: &S, y0: Vector) -> crate::Result<SteadyState> {
-        if !crate::is_strictly_positive(self.options.window) {
+        if !is_strictly_positive(self.options.window) {
             return Err(OdeError::InvalidParameter(
                 "steady-state window must be positive".into(),
             ));
         }
-        if !crate::is_at_least(self.options.max_time, self.options.window) {
+        if !is_at_least(self.options.max_time, self.options.window) {
             return Err(OdeError::InvalidParameter(
                 "max_time must be at least one window".into(),
             ));
@@ -144,11 +144,23 @@ impl<I: Integrator> SteadyStateDriver<I> {
     }
 }
 
+/// `true` when `x` is strictly positive; false for NaN, so option validation
+/// rejects NaN inputs.
+fn is_strictly_positive(x: f64) -> bool {
+    x > 0.0
+}
+
+/// `true` when `a >= b`; false when either side is NaN, so option validation
+/// rejects NaN inputs.
+fn is_at_least(a: f64, b: f64) -> bool {
+    a >= b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::test_systems::{Decay, Logistic};
-    use crate::{BackwardEuler, Rk4, Rkf45};
+    use crate::BackwardEuler;
 
     struct Relax {
         target: f64,
@@ -165,7 +177,8 @@ mod tests {
 
     #[test]
     fn relaxation_reaches_its_target() {
-        let driver = SteadyStateDriver::new(Rk4::new(0.01), SteadyStateOptions::default());
+        let driver =
+            SteadyStateDriver::new(BackwardEuler::new(0.01), SteadyStateOptions::default());
         let steady = driver
             .run(&Relax { target: 5.0 }, Vector::from(vec![0.0]))
             .unwrap();
@@ -175,7 +188,7 @@ mod tests {
 
     #[test]
     fn decay_reaches_zero() {
-        let driver = SteadyStateDriver::new(Rkf45::default(), SteadyStateOptions::default());
+        let driver = SteadyStateDriver::new(BackwardEuler::new(0.1), SteadyStateOptions::default());
         let steady = driver
             .run(&Decay { k: 0.7 }, Vector::from(vec![10.0]))
             .unwrap();
@@ -184,7 +197,8 @@ mod tests {
 
     #[test]
     fn logistic_growth_saturates_at_carrying_capacity() {
-        let driver = SteadyStateDriver::new(Rk4::new(0.01), SteadyStateOptions::default());
+        let driver =
+            SteadyStateDriver::new(BackwardEuler::new(0.01), SteadyStateOptions::default());
         let steady = driver
             .run(&Logistic { r: 2.0 }, Vector::from(vec![0.01]))
             .unwrap();
@@ -209,7 +223,7 @@ mod tests {
             derivative_tol: 1e-12,
             state_change_tol: 1e-12,
         };
-        let driver = SteadyStateDriver::new(Rk4::new(0.01), options);
+        let driver = SteadyStateDriver::new(BackwardEuler::new(0.01), options);
         let err = driver
             .run(&Harmonic, Vector::from(vec![1.0, 0.0]))
             .unwrap_err();
@@ -222,7 +236,7 @@ mod tests {
             window: 0.0,
             ..Default::default()
         };
-        let driver = SteadyStateDriver::new(Rk4::new(0.01), options);
+        let driver = SteadyStateDriver::new(BackwardEuler::new(0.01), options);
         assert!(matches!(
             driver.run(&Decay { k: 1.0 }, Vector::from(vec![1.0])),
             Err(OdeError::InvalidParameter(_))
@@ -232,7 +246,7 @@ mod tests {
             max_time: 1.0,
             ..Default::default()
         };
-        let driver = SteadyStateDriver::new(Rk4::new(0.01), options);
+        let driver = SteadyStateDriver::new(BackwardEuler::new(0.01), options);
         assert!(matches!(
             driver.run(&Decay { k: 1.0 }, Vector::from(vec![1.0])),
             Err(OdeError::InvalidParameter(_))
@@ -242,7 +256,7 @@ mod tests {
     #[test]
     fn stats_accumulate_across_windows() {
         let driver = SteadyStateDriver::new(
-            Rk4::new(0.01),
+            BackwardEuler::new(0.01),
             SteadyStateOptions {
                 window: 1.0,
                 derivative_tol: 1e-9,

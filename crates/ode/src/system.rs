@@ -4,8 +4,8 @@ use crate::{IntegrationStats, OdeError};
 
 /// A first-order ODE system `dy/dt = f(t, y)`.
 ///
-/// Implementors describe the right-hand side of the system; the solvers in
-/// this crate do the stepping. The photosynthesis model in
+/// Implementors describe the right-hand side of the system;
+/// [`crate::BackwardEuler`] does the stepping. The photosynthesis model in
 /// `pathway-photosynthesis` implements this trait for its metabolite pools.
 ///
 /// # Example
@@ -68,29 +68,8 @@ pub struct IntegrationResult {
     pub stats: IntegrationStats,
 }
 
-/// A time integrator for [`OdeSystem`]s.
-///
-/// All solvers in this crate implement this trait so callers (notably the
-/// [`crate::SteadyStateDriver`]) can be generic over the stepping scheme.
-pub trait Integrator {
-    /// Integrates `system` from `t0` with initial state `y0` until `t_end`.
-    ///
-    /// # Errors
-    ///
-    /// * [`OdeError::DimensionMismatch`] if `y0.len() != system.dim()`.
-    /// * [`OdeError::NonFiniteState`] if the state blows up.
-    /// * Solver-specific errors such as [`OdeError::StepSizeUnderflow`].
-    fn integrate<S: OdeSystem>(
-        &self,
-        system: &S,
-        t0: f64,
-        y0: Vector,
-        t_end: f64,
-    ) -> crate::Result<IntegrationResult>;
-}
-
 /// Validates that the initial state matches the system dimension and the time
-/// span is sensible. Shared by every solver.
+/// span is sensible.
 pub(crate) fn validate_inputs<S: OdeSystem>(
     system: &S,
     y0: &Vector,

@@ -1,8 +1,7 @@
 use pathway_kinetics::rate_laws;
 use pathway_linalg::Vector;
 use pathway_ode::{
-    BackwardEuler, Integrator, OdeError, OdeSystem, SteadyState, SteadyStateDriver,
-    SteadyStateOptions,
+    BackwardEuler, OdeError, OdeSystem, SteadyState, SteadyStateDriver, SteadyStateOptions,
 };
 
 use crate::enzymes::EnzymeKind;
@@ -144,8 +143,8 @@ pub struct PathwayFluxes {
 /// the system bounded: as phosphorylated intermediates accumulate, free
 /// phosphate drops and carboxylation slows down.
 ///
-/// The model implements [`OdeSystem`] so any solver from `pathway-ode` can
-/// integrate it; [`OdeUptakeEvaluator`] wraps the steady-state evaluation.
+/// The model implements [`OdeSystem`] so [`BackwardEuler`] can integrate
+/// it; [`OdeUptakeEvaluator`] wraps the steady-state evaluation.
 #[derive(Debug, Clone)]
 pub struct CalvinCycleOde {
     /// Per-enzyme Vmax in volumetric units (capacity / volume factor),
@@ -457,29 +456,11 @@ pub struct OdeUptakeEvaluator {
     step: f64,
 }
 
-impl Default for OdeUptakeEvaluator {
-    fn default() -> Self {
-        OdeUptakeEvaluator {
-            options: SteadyStateOptions {
-                window: 25.0,
-                derivative_tol: 5e-5,
-                state_change_tol: 5e-6,
-                max_time: 4000.0,
-            },
-            step: 0.05,
-        }
-    }
-}
-
 impl OdeUptakeEvaluator {
-    /// Creates an evaluator with default settings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A faster, coarser evaluator (larger implicit step, looser convergence
-    /// tolerances and a shorter horizon). Intended for tests and benchmarks
-    /// where only qualitative behaviour matters.
+    /// The evaluator the leaf oracle runs: backward Euler at step 0.1,
+    /// convergence checked every 50 time units (derivative `1e-3`, state
+    /// change `1e-4`, both relative) and a horizon of 800. These are coarse
+    /// settings, chosen so one evaluation fits an optimization loop.
     pub fn fast() -> Self {
         OdeUptakeEvaluator {
             options: SteadyStateOptions {
@@ -555,24 +536,6 @@ impl OdeUptakeEvaluator {
         scenario: &Scenario,
     ) -> Result<f64, OdeError> {
         Ok(self.steady_state(partition, scenario)?.1)
-    }
-
-    /// Integrates the model for a fixed horizon with an explicit solver and
-    /// returns the trajectory endpoint; useful for inspecting transients.
-    ///
-    /// # Errors
-    ///
-    /// Propagates integration failures from the underlying solver.
-    pub fn transient(
-        &self,
-        partition: &EnzymePartition,
-        scenario: &Scenario,
-        horizon: f64,
-    ) -> Result<Vector, OdeError> {
-        let model = CalvinCycleOde::new(partition, scenario);
-        let result =
-            BackwardEuler::new(self.step).integrate(&model, 0.0, model.initial_state(), horizon)?;
-        Ok(result.state)
     }
 }
 
@@ -668,16 +631,84 @@ mod tests {
         assert!((warm_uptake - cold_uptake).abs() < 0.5);
     }
 
+    /// FNV-1a over the little-endian bytes of each component's bit pattern.
+    fn state_hash(state: &Vector) -> u64 {
+        state
+            .iter()
+            .flat_map(|c| c.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// `(steps, rhs, jacobians, newton)` of one steady-state solve.
+    fn work_counts(steady: &SteadyState) -> [usize; 4] {
+        let stats = &steady.stats;
+        [
+            stats.steps_attempted(),
+            stats.rhs_evaluations,
+            stats.jacobian_evaluations,
+            stats.newton_iterations,
+        ]
+    }
+
+    /// Pins the leaf oracle's output bit for bit: the steady state, uptake
+    /// and solver work of the fast evaluator for the natural leaf, both
+    /// from the cold start and warm-started from a perturbed design's
+    /// steady state. Any change to the integrator, its constants or its
+    /// evaluation order moves a bit or a count here.
+    #[test]
+    fn fast_evaluator_output_is_pinned() {
+        let evaluator = OdeUptakeEvaluator::fast();
+        let scenario = Scenario::present_low_export();
+        let natural = EnzymePartition::natural();
+        let (cold, cold_uptake) = evaluator
+            .steady_state(&natural, &scenario)
+            .expect("the natural leaf settles");
+        assert_eq!(
+            state_hash(&cold.state),
+            0x10db_2333_b0d0_1981,
+            "cold hash {:#018x}",
+            state_hash(&cold.state)
+        );
+        assert_eq!(
+            cold_uptake.to_bits(),
+            0x402b_0424_c12c_33f9,
+            "cold uptake {cold_uptake:e}"
+        );
+        assert_eq!(work_counts(&cold), [5004, 137_768, 5110, 10_114]);
+
+        let perturbed = natural
+            .with_scaled(EnzymeKind::Rubisco, 1.2)
+            .with_scaled(EnzymeKind::Sbpase, 0.9);
+        let (parent, _) = evaluator
+            .steady_state(&perturbed, &scenario)
+            .expect("the perturbed leaf settles");
+        let (warm, warm_uptake) = evaluator
+            .steady_state_from(&natural, &scenario, parent.state)
+            .expect("the warm start settles");
+        assert_eq!(
+            state_hash(&warm.state),
+            0x2275_25a2_a4e7_de55,
+            "warm hash {:#018x}",
+            state_hash(&warm.state)
+        );
+        assert_eq!(
+            warm_uptake.to_bits(),
+            0x402b_1af0_c9eb_e1f6,
+            "warm uptake {warm_uptake:e}"
+        );
+        assert_eq!(work_counts(&warm), [3004, 81_639, 3025, 6029]);
+    }
+
     #[test]
     fn transient_is_bounded() {
-        let evaluator = OdeUptakeEvaluator::fast();
-        let state = evaluator
-            .transient(
-                &EnzymePartition::natural(),
-                &Scenario::present_low_export(),
-                10.0,
-            )
-            .unwrap();
+        let model =
+            CalvinCycleOde::new(&EnzymePartition::natural(), &Scenario::present_low_export());
+        let state = BackwardEuler::new(0.1)
+            .integrate(&model, 0.0, model.initial_state(), 10.0)
+            .unwrap()
+            .state;
         assert!(state.iter().all(|&c| (0.0..=100.0).contains(&c)));
     }
 
